@@ -21,7 +21,6 @@ from .expr import FunctionSpec
 from .properties import (
     DEFAULT_GRID_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
-    DEFAULT_TOLERANCE,
     InfimumBound,
     PropertyVerdict,
     Status,
@@ -69,14 +68,11 @@ def classify_ultrametric_preserving(
 
 
 def classify_strongly_preserving(
-    spec: FunctionSpec,
-    grid_budget: int = DEFAULT_GRID_BUDGET,
-    tolerance: float = DEFAULT_TOLERANCE,
+    spec: FunctionSpec, grid_budget: int = DEFAULT_GRID_BUDGET
 ) -> PropertyVerdict:
     """Increasing, amenable, and continuous at 0 — preserves the topology."""
     return combine_verdicts(
-        classify_ultrametric_preserving(spec, grid_budget),
-        check_continuous_at_zero(spec, tolerance=tolerance),
+        classify_ultrametric_preserving(spec, grid_budget), check_continuous_at_zero(spec)
     )
 
 
@@ -172,20 +168,18 @@ def check_minmax_equation(
 def find_minmax_violation(
     spec: FunctionSpec, samples: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0
 ) -> Optional[dict]:
-    """Sampled min-max check, escalated by a directed probe at an inversion.
+    """Sampled min-max check, escalated by the monotonicity probe.
 
-    When sampling misses, any isosceles counterexample (c1 < c2 with
-    0 < f(c2) < f(c1)) yields the violating triple (c1, c2, c2) directly.
+    When sampling misses, any decrease (t1 < t2 with f(t1) > f(t2)) yields
+    the violating triple (t1, t2, t2) directly.
     """
     verdict = check_minmax_equation(spec, samples, seed)
     if verdict.fails:
         return verdict.witness
-    from .witnesses import witness_not_ultrametric_preserving
-
-    cert = witness_not_ultrametric_preserving(spec)
-    if cert is not None and cert.kind == "isosceles_inversion":
-        c1, c2 = cert.parameters["c1"], cert.parameters["c2"]
-        return _triple_violation(spec, c1, c2, c2, minmax_equation_holds)
+    increasing = check_increasing(spec)
+    if increasing.fails:
+        t1, t2 = increasing.witness["t1"], increasing.witness["t2"]
+        return _triple_violation(spec, t1, t2, t2, minmax_equation_holds)
     return None
 
 
@@ -241,12 +235,11 @@ def classification_report(
     seed: int = 0,
     budget: int = DEFAULT_SAMPLE_BUDGET,
     grid_budget: int = DEFAULT_GRID_BUDGET,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> ClassificationReport:
     """Run every classifier with sub-seeds derived from one shared seed and
     enforce the cross-verdict consistency invariants."""
     pu = classify_ultrametric_preserving(spec, grid_budget)
-    pt = classify_strongly_preserving(spec, grid_budget, tolerance)
+    pt = classify_strongly_preserving(spec, grid_budget)
     pm = classify_metric_preserving_sufficient(spec, budget, derive_seed(seed, 0))
     triplet = check_triplet_preservation(spec, budget, derive_seed(seed, 1))
     minmax = check_minmax_equation(spec, budget, derive_seed(seed, 2))

@@ -27,7 +27,7 @@ from .generators import (
 )
 from .matrix_io import load_space, space_to_csv, space_to_dict
 from .parser import parse_function_file, parse_function_spec
-from .properties import DEFAULT_SAMPLE_BUDGET, DEFAULT_TOLERANCE, Status
+from .properties import DEFAULT_SAMPLE_BUDGET, Status
 from .spaces import (
     SpaceValidationError,
     apply_function,
@@ -54,8 +54,6 @@ EXIT_USAGE = 1
 EXIT_FAILS = 2
 EXIT_UNDETERMINED = 3
 EXIT_NO_WITNESS = 4
-
-DEFAULT_WITNESS_BUDGET = 10_000
 
 
 def _fail(message: str) -> int:
@@ -121,10 +119,10 @@ def cmd_classify(args) -> int:
         return _fail("function file contains no specs")
     seed = _resolve_seed(args)
     budget = args.budget if args.budget is not None else DEFAULT_SAMPLE_BUDGET
-    reports = [
-        classification_report(spec, seed=seed, budget=budget, tolerance=args.tolerance)
-        for spec in specs
-    ]
+    try:
+        reports = [classification_report(spec, seed=seed, budget=budget) for spec in specs]
+    except FunctionSpecError as exc:
+        return _fail(str(exc))
     doc = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
     _emit(doc, args)
     statuses = [r.ultrametric_preserving.status for r in reports]
@@ -140,14 +138,13 @@ def cmd_witness(args) -> int:
         spec = _load_one_spec(args.function)
     except FunctionSpecError as exc:
         return _fail(str(exc))
-    budget = args.budget if args.budget is not None else DEFAULT_WITNESS_BUDGET
-    if args.mode == "pu":
-        cert = witness_not_ultrametric_preserving(spec, budget=budget)
-    else:
-        try:
+    try:
+        if args.mode == "pu":
+            cert = witness_not_ultrametric_preserving(spec)
+        else:
             cert = witness_not_strongly_preserving(spec, n_levels=args.levels)
-        except PreconditionFailed as exc:
-            return _fail(str(exc))
+    except (PreconditionFailed, FunctionSpecError) as exc:
+        return _fail(str(exc))
     if cert is None:
         _emit({"result": "no_witness_found", "function": spec.source, "mode": args.mode}, args)
         return EXIT_NO_WITNESS
@@ -277,7 +274,6 @@ def cmd_suite(args) -> int:
             trials=args.trials,
             max_points=args.max_points,
             seed=_resolve_seed(args),
-            tolerance=args.tolerance,
             budget=args.budget if args.budget is not None else 10_000,
         )
     except ValueError as exc:
@@ -302,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed (fallback: ULTRA_SEED, then 0)")
     common.add_argument("--budget", type=int, default=None,
                         help="sample budget for probabilistic checks")
-    common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="numeric tolerance for continuity probes")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 

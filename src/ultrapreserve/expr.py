@@ -36,6 +36,11 @@ class DomainGap(FunctionSpecError):
     """Piecewise pieces fail to form a partition of [0, inf)."""
 
 
+class UndefinedValue(FunctionSpecError):
+    """The expression has no real value at some point (a negative base under
+    a fractional power, or inf - inf and 0 * inf in float arithmetic)."""
+
+
 # ---------------------------------------------------------------------------
 # Node types
 
@@ -204,6 +209,8 @@ def _pow(base: float, exponent: float) -> float:
         return math.pow(base, exponent)
     except OverflowError:
         return INF
+    except ValueError:
+        raise UndefinedValue(f"pow({base!r}, {exponent!r}) has no real value") from None
 
 
 def evaluate(node: Node, t: float) -> float:
@@ -296,7 +303,10 @@ class FunctionSpec:
     def __call__(self, t: float) -> float:
         if t < 0:
             raise NegativeInput(t)
-        return evaluate(self.root, t)
+        value = evaluate(self.root, t)
+        if value != value:  # NaN
+            raise UndefinedValue(f"{self.source} is undefined (NaN) at t = {t!r}")
+        return value
 
     @classmethod
     def from_node(cls, node: Node) -> "FunctionSpec":

@@ -53,14 +53,9 @@ class UniversalPoint:
 
 @dataclass(frozen=True)
 class LevelSequence:
-    """Strictly decreasing positive levels r_1 > r_2 > ... > r_N.
-
-    `limit_zero` documents that the untruncated sequence tends to 0; the
-    finite truncation itself carries no limit.
-    """
+    """Strictly decreasing positive levels r_1 > r_2 > ... > r_N."""
 
     values: tuple[float, ...]
-    limit_zero: bool = True
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -168,7 +163,7 @@ def tbu_noncompact_truncation(
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio!r}")
     levels = [ratio**k for k in range(1, n_levels + 1)]
-    seq = LevelSequence(tuple(levels), limit_zero=True)
+    seq = LevelSequence(tuple(levels))
     pts: list[UniversalPoint] = []
     for r in levels:
         pts.append(UniversalPoint(0.0, r))

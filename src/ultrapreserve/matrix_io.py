@@ -37,10 +37,6 @@ def space_from_dict(doc: dict) -> FiniteSemimetricSpace:
     return validate_space(dist, labels)
 
 
-def space_to_json(space: FiniteSemimetricSpace, provenance: Optional[dict] = None) -> str:
-    return json.dumps(space_to_dict(space, provenance), indent=2)
-
-
 def space_to_csv(space: FiniteSemimetricSpace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -82,7 +78,7 @@ def save_space(
 ) -> None:
     path = Path(path)
     if fmt == "json":
-        path.write_text(space_to_json(space, provenance) + "\n")
+        path.write_text(json.dumps(space_to_dict(space, provenance), indent=2) + "\n")
     elif fmt == "csv":
         path.write_text(space_to_csv(space))
     else:

@@ -30,7 +30,6 @@ from .expr import (
 
 DEFAULT_GRID_BUDGET = 241  # log grid over (2**-60, 2**60), half-integer exponents
 DEFAULT_SAMPLE_BUDGET = 4096
-DEFAULT_TOLERANCE = 2.0**-30
 BREAKPOINT_OFFSET = 2.0**-40
 DIVERGENCE_BOUND = 2.0**30
 
@@ -167,39 +166,20 @@ def check_subadditive(
     return PropertyVerdict(Status.HOLDS, None, used, exact=False, seed=seed)
 
 
-def check_continuous_at_zero(
-    spec: FunctionSpec, budget: int = 60, tolerance: float = DEFAULT_TOLERANCE
-) -> PropertyVerdict:
+def check_continuous_at_zero(spec: FunctionSpec) -> PropertyVerdict:
     """lim_{t -> 0+} f(t) = f(0).
 
     The right limit at 0 is computed exactly for every tree in the grammar
     (all combiners are continuous and all atoms have known limits), so the
-    verdict is exact; the dyadic probe 2**-k only furnishes the witness. The
-    numeric tail test (max over k >= 40 within `tolerance` of f(0)) is kept
-    as a fallback for trees without a symbolic limit.
+    verdict is exact; the dyadic probe 2**-60 only furnishes the witness.
     """
     f0 = spec(0.0)
-    try:
-        limit = right_limit_at_zero(spec.root)
-    except Exception:
-        limit = None
-    if limit is not None:
-        if limit == f0:
-            return PropertyVerdict(Status.HOLDS, None, 1, exact=True)
-        t = 2.0**-60
-        witness = {"t": t, "f_t": spec(t), "f_0": f0, "right_limit": limit}
-        return PropertyVerdict(Status.FAILS, witness, 2, exact=True)
-    ks = range(1, budget + 1)
-    values = {k: spec(2.0**-k) for k in ks}
-    tail = [abs(values[k] - f0) for k in ks if k >= 40]
-    monotone_ok = True
-    if monotone_certified(spec.root):
-        monotone_ok = all(values[k] >= values[k + 1] for k in ks if k + 1 <= budget)
-    if tail and max(tail) <= tolerance and monotone_ok:
-        return PropertyVerdict(Status.HOLDS, None, len(values), exact=False)
-    k_bad = max(ks)
-    witness = {"t": 2.0**-k_bad, "f_t": values[k_bad], "f_0": f0}
-    return PropertyVerdict(Status.FAILS, witness, len(values), exact=True)
+    limit = right_limit_at_zero(spec.root)
+    if limit == f0:
+        return PropertyVerdict(Status.HOLDS, None, 1, exact=True)
+    t = 2.0**-60
+    witness = {"t": t, "f_t": spec(t), "f_0": f0, "right_limit": limit}
+    return PropertyVerdict(Status.FAILS, witness, 2, exact=True)
 
 
 def check_diverges_at_infinity(spec: FunctionSpec, budget: int = 60) -> PropertyVerdict:
@@ -275,8 +255,17 @@ def verify_witness(spec: FunctionSpec, witness: dict) -> bool:
         return spec(witness["t"]) == witness["f_t"] and witness["f_t"] != witness["f_0"]
     if "limit_at_inf" in witness:  # divergence
         return spec(witness["t"]) == witness["f_t"] and math.isfinite(witness["limit_at_inf"])
-    if {"p", "q", "l"} <= witness.keys():  # triple checks (classifier)
-        return True  # re-verified by the classifier's own helpers
+    if {"p", "q", "l"} <= witness.keys():  # triangle-triplet or min-max triple
+        from .classify import minmax_equation_holds, triangle_triplet_holds
+
+        args = (witness["p"], witness["q"], witness["l"])
+        image = (witness["f_p"], witness["f_q"], witness["f_l"])
+        if tuple(spec(x) for x in args) != image:
+            return False
+        return any(
+            check(*args) and not check(*image)
+            for check in (triangle_triplet_holds, minmax_equation_holds)
+        )
     if "t" in witness:  # amenability
         return spec(witness["t"]) == witness["f_t"] and (
             (witness["t"] == 0.0 and witness["f_t"] != 0.0)

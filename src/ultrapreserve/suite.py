@@ -26,7 +26,6 @@ from .classify import (
 from .expr import FunctionSpec, cantor_hat
 from .generators import random_ultrametric, snapped_levels, triangle_equilateral
 from .parser import parse_function_spec
-from .properties import DEFAULT_TOLERANCE
 from .spaces import (
     apply_function,
     are_isometric_small,
@@ -48,7 +47,6 @@ class SuiteConfig:
     trials: int = 500
     max_points: int = 12
     seed: int = 0
-    tolerance: float = DEFAULT_TOLERANCE
     budget: int = 10_000
 
     def __post_init__(self):
@@ -62,7 +60,6 @@ class SuiteConfig:
             "trials": self.trials,
             "max_points": self.max_points,
             "seed": self.seed,
-            "tolerance": self.tolerance,
             "budget": self.budget,
         }
 
@@ -205,17 +202,17 @@ def witness_synthesis() -> CriterionResult:
     )
 
 
-def strongly_preserving_criterion(tolerance: float = DEFAULT_TOLERANCE) -> CriterionResult:
+def strongly_preserving_criterion() -> CriterionResult:
     """Identity and the extended Cantor function preserve the topology; jump
     functions do not, at every jump height."""
     problems = []
     for source in ("t", "cantor_hat(t)"):
-        verdict = classify_strongly_preserving(parse_function_spec(source), tolerance=tolerance)
+        verdict = classify_strongly_preserving(parse_function_spec(source))
         if not (verdict.holds and verdict.exact):
             problems.append({"function": source, "verdict": verdict.to_json()})
     for a in (2.0**-10, 1.0, 2.0**10):
         spec = parse_function_spec(f"step_above({a!r})")
-        verdict = classify_strongly_preserving(spec, tolerance=tolerance)
+        verdict = classify_strongly_preserving(spec)
         if not (verdict.fails and verdict.exact):
             problems.append({"function": spec.source, "verdict": verdict.to_json()})
     return CriterionResult(
@@ -376,7 +373,7 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     results = (
         forward_preservation(config.trials, config.max_points, derive_seed(config.seed, 11)),
         witness_synthesis(),
-        strongly_preserving_criterion(config.tolerance),
+        strongly_preserving_criterion(),
         covering_divergence(),
         universal_embedding(2 * config.trials, derive_seed(config.seed, 12)),
         minmax_equivalence(config.budget, derive_seed(config.seed, 13)),

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .classify import classify_ultrametric_preserving
-from .expr import FunctionSpec, breakpoints
+from .expr import FunctionSpec
 from .generators import (
     InvalidParameters,
     LevelSequence,
@@ -30,7 +30,7 @@ from .generators import (
     triangle_isosceles,
 )
 from .matrix_io import space_to_dict
-from .properties import inf_on_positive
+from .properties import DEFAULT_GRID_BUDGET, inf_on_positive, probe_points
 from .spaces import (
     FiniteSemimetricSpace,
     NonpositiveOffDiagonal,
@@ -43,9 +43,6 @@ from .spaces import (
     validate_space,
 )
 
-WITNESS_GRID_EXPONENTS = range(-40, 41)
-WITNESS_OFFSET = 2.0**-40
-DEFAULT_PAIR_BUDGET = 10_000
 COVERING_EPS_BEFORE = 2.0**-2
 
 
@@ -92,27 +89,15 @@ class WitnessCertificate:
         }
 
 
-def witness_grid(spec: FunctionSpec) -> list[float]:
-    """Search grid: dyadic powers 2**k for k in [-40, 40], plus piece
-    breakpoints and their +-2**-40 neighbours."""
-    pts = {2.0**k for k in WITNESS_GRID_EXPONENTS}
-    for b in breakpoints(spec.root):
-        for candidate in (b - WITNESS_OFFSET, b, b + WITNESS_OFFSET):
-            if candidate > 0 and math.isfinite(candidate):
-                pts.add(candidate)
-    return sorted(pts)
+def witness_not_ultrametric_preserving(spec: FunctionSpec) -> Optional[WitnessCertificate]:
+    """Search the shared probe grid for a 3-point space whose image under f
+    is not ultrametric.
 
-
-def witness_not_ultrametric_preserving(
-    spec: FunctionSpec, budget: int = DEFAULT_PAIR_BUDGET
-) -> Optional[WitnessCertificate]:
-    """Search for a 3-point space whose image under f is not ultrametric.
-
-    Zeros first (smallest c with f(c) <= 0 wins), then inversions in
-    lexicographic (c1, c2) order, capped at `budget` pairs. Returns None when
-    the search exhausts its grid without a witness.
+    Zeros first (smallest c with f(c) <= 0 wins), then the lexicographically
+    first inversion (c1, c2): the smallest c1 with a later, smaller value,
+    paired with the first such c2. Returns None when the grid holds neither.
     """
-    grid = witness_grid(spec)
+    grid = [float(c) for c in probe_points(spec, DEFAULT_GRID_BUDGET)]
     values = [spec(c) for c in grid]
 
     for c, fc in zip(grid, values):
@@ -131,31 +116,30 @@ def witness_not_ultrametric_preserving(
                 parameters={"c": c},
             )
 
-    pairs_seen = 0
-    for i, c1 in enumerate(grid):
-        for j in range(i + 1, len(grid)):
-            pairs_seen += 1
-            if pairs_seen > budget:
-                return None
-            c2 = grid[j]
-            f1, f2 = values[i], values[j]
-            if 0.0 < f2 < f1:
-                before = triangle_isosceles(c1, c2)
-                after = FiniteSemimetricSpace(
-                    before.labels, [[0.0, f2, f1], [f2, 0.0, f2], [f1, f2, 0.0]]
-                )
-                ok, violation = is_ultrametric(after)
-                if ok:
-                    raise RuntimeError("inversion image unexpectedly ultrametric")
-                return WitnessCertificate(
-                    kind="isosceles_inversion",
-                    function=spec.source,
-                    space_before=before,
-                    space_after=after,
-                    violation=violation,
-                    parameters={"c1": c1, "c2": c2},
-                )
-    return None
+    i, low = None, math.inf
+    for k in range(len(values) - 1, -1, -1):  # right to left: low is the suffix minimum
+        if values[k] > low:
+            i = k
+        low = min(low, values[k])
+    if i is None:
+        return None
+    j = next(j for j in range(i + 1, len(values)) if values[j] < values[i])
+    c1, c2, f1, f2 = grid[i], grid[j], values[i], values[j]
+    before = triangle_isosceles(c1, c2)
+    after = FiniteSemimetricSpace(
+        before.labels, [[0.0, f2, f1], [f2, 0.0, f2], [f1, f2, 0.0]]
+    )
+    ok, violation = is_ultrametric(after)
+    if ok:
+        raise RuntimeError("inversion image unexpectedly ultrametric")
+    return WitnessCertificate(
+        kind="isosceles_inversion",
+        function=spec.source,
+        space_before=before,
+        space_after=after,
+        violation=violation,
+        parameters={"c1": c1, "c2": c2},
+    )
 
 
 def witness_not_strongly_preserving(
@@ -304,7 +288,7 @@ def embed_three_point_tbu(
         levels.append(small * ratio)
         pts = (UniversalPoint(0.0, big), UniversalPoint(0.0, small),
                UniversalPoint(0.0, small * ratio))
-    seq = LevelSequence(tuple(levels), limit_zero=True)
+    seq = LevelSequence(tuple(levels))
     ok, _ = are_isometric_small(space, dplus2_space(pts))
     if not ok:
         raise RuntimeError("embedding failed isometry verification")

@@ -115,6 +115,12 @@ class TestMinmaxEquation:
         assert minmax_equation_holds(p, q, l)
         assert not minmax_equation_holds(witness["f_p"], witness["f_q"], witness["f_l"])
 
+    def test_escalates_with_monotonicity_witness(self):
+        # no samples: the violation comes from the decrease t1 < t2
+        witness = find_minmax_violation(spec(INVERSION), samples=0)
+        assert witness["p"] < witness["q"] == witness["l"]
+        assert not minmax_equation_holds(witness["f_p"], witness["f_q"], witness["f_l"])
+
     def test_members_never_violate(self):
         witness = find_minmax_violation(spec("pow(t, 3)"), samples=500, seed=3)
         assert witness is None

@@ -205,6 +205,24 @@ class TestSuiteCommand:
         assert code == 1
 
 
+class TestUndefinedValues:
+    """Specs without a real value somewhere on (0, inf) end in a clean exit 1."""
+
+    @pytest.mark.parametrize("function", [
+        "pow(t - 1, 0.5)",
+        "t * 1e308 * 1e308 - t * 1e308 * 1e308",
+    ])
+    @pytest.mark.parametrize("command", ["classify", "witness", "transform"])
+    def test_exits_one_with_error(self, capsys, tmp_path, command, function):
+        argv = [command, function]
+        if command == "transform":
+            path = tmp_path / "half.json"
+            save_space(validate_space([[0, 0.5, 0.5], [0.5, 0, 0.25], [0.5, 0.25, 0]]), path)
+            argv = [command, str(path), function]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -119,7 +119,6 @@ class TestLevelFamily:
     def test_three_level_matrix(self):
         space, levels = tbu_noncompact_truncation(3, 0.5)
         assert levels.values == (0.5, 0.25, 0.125)
-        assert levels.limit_zero
         expected = [
             [0.0, 0.5, 0.5],
             [0.5, 0.0, 0.25],

@@ -152,3 +152,18 @@ class TestInfOnPositive:
         bound = inf_on_positive(spec("max(0, t - 1)"))
         assert not bound.exact
         assert bound.estimate == 0.0
+
+
+class TestVerifyTripleWitness:
+    def test_real_triangle_witness_accepted(self):
+        w = {"p": 1.0, "q": 1.0, "l": 2.0, "f_p": 1.0, "f_q": 1.0, "f_l": 4.0}
+        assert verify_witness(spec("t * t"), w)
+
+    def test_forged_triple_rejected(self):
+        # the identity keeps (1, 1, 2) a triangle; the recorded image is made up
+        forged = {"p": 1.0, "q": 1.0, "l": 2.0, "f_p": 1.0, "f_q": 1.0, "f_l": 4.0}
+        assert not verify_witness(spec("t"), forged)
+
+    def test_triple_whose_image_holds_rejected(self):
+        w = {"p": 1.0, "q": 1.0, "l": 2.0, "f_p": 1.0, "f_q": 1.0, "f_l": 2.0}
+        assert not verify_witness(spec("t"), w)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultrapreserve.classify import classify_ultrametric_preserving
 from ultrapreserve.generators import (
     dplus2_space,
     random_ultrametric,
@@ -38,13 +39,29 @@ def spec(text):
 INVERSION = "piecewise { [0,1): t; [1,2): 5; [2,inf): 3 }"
 
 
+AGREEMENT_SPECS = [
+    *zero_family(),
+    *inversion_family(),
+    *preserving_pool(),
+    spec("max(0, t - 2.842170943040401e-14)"),  # vanishes only on [0, 2**-45]
+]
+
+
+@pytest.mark.parametrize("f", AGREEMENT_SPECS, ids=lambda f: f.source)
+def test_classify_and_witness_agree(f):
+    """classify exits 2 exactly when `witness --mode pu` finds a certificate."""
+    assert classify_ultrametric_preserving(f).fails == (
+        witness_not_ultrametric_preserving(f) is not None
+    )
+
+
 class TestNotUltrametricPreserving:
     def test_planted_zero_gives_equilateral(self):
         f = spec("max(0, t - 1)")
         cert = witness_not_ultrametric_preserving(f)
         assert cert.kind == "equilateral_zero"
-        # deterministic winner: the smallest grid point, 2**-40
-        assert cert.parameters["c"] == 2.0**-40
+        # deterministic winner: the smallest grid point, 2**-60
+        assert cert.parameters["c"] == 2.0**-60
         assert f(cert.parameters["c"]) == 0.0
         with pytest.raises(NonpositiveOffDiagonal):
             validate_space(cert.space_after.dist, cert.space_after.labels)
