@@ -13,6 +13,7 @@ with fixed degenerate probes always included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,7 @@ from .properties import (
     InfimumBound,
     PropertyVerdict,
     Status,
+    _scan_probes,
     check_amenable,
     check_continuous_at_zero,
     check_increasing,
@@ -110,31 +112,11 @@ def _sample_two_largest_equal(rng: np.random.Generator, count: int) -> np.ndarra
     return rng.permuted(triples, axis=1)
 
 
-def _triple_violation(spec, p, q, l, check) -> Optional[dict]:
+def _triple_violation(spec, check, p, q, l) -> Optional[dict]:
     fp, fq, fl = spec(p), spec(q), spec(l)
     if check(fp, fq, fl):
         return None
     return {"p": p, "q": q, "l": l, "f_p": fp, "f_q": fq, "f_l": fl}
-
-
-def _scan_triples(spec, fixed, sampled, check, seed) -> PropertyVerdict:
-    used = 0
-    for p, q, l in fixed:
-        used += 1
-        w = _triple_violation(spec, p, q, l, check)
-        if w is not None:
-            return PropertyVerdict(Status.FAILS, w, used, exact=True, seed=seed)
-    best = None
-    for p, q, l in sampled:
-        used += 1
-        w = _triple_violation(spec, float(p), float(q), float(l), check)
-        if w is not None:
-            key = (w["p"], w["q"], w["l"])
-            if best is None or key < (best["p"], best["q"], best["l"]):
-                best = w
-    if best is not None:
-        return PropertyVerdict(Status.FAILS, best, used, exact=True, seed=seed)
-    return PropertyVerdict(Status.HOLDS, None, used, exact=False, seed=seed)
 
 
 def triangle_triplet_holds(fp: float, fq: float, fl: float) -> bool:
@@ -151,7 +133,8 @@ def check_triplet_preservation(
     """Does f carry triangle triplets (2*max <= sum) to triangle triplets?"""
     rng = np.random.default_rng(seed)
     sampled = _sample_triangle_triples(rng, samples)
-    return _scan_triples(spec, FIXED_TRIANGLE_TRIPLES, sampled, triangle_triplet_holds, seed)
+    violation = partial(_triple_violation, spec, triangle_triplet_holds)
+    return _scan_probes(violation, FIXED_TRIANGLE_TRIPLES, sampled, seed)
 
 
 def check_minmax_equation(
@@ -162,7 +145,8 @@ def check_minmax_equation(
     all such triples iff f preserves ultrametrics."""
     rng = np.random.default_rng(seed)
     sampled = _sample_two_largest_equal(rng, samples)
-    return _scan_triples(spec, FIXED_EQUAL_TRIPLES, sampled, minmax_equation_holds, seed)
+    violation = partial(_triple_violation, spec, minmax_equation_holds)
+    return _scan_probes(violation, FIXED_EQUAL_TRIPLES, sampled, seed)
 
 
 def find_minmax_violation(
@@ -179,7 +163,7 @@ def find_minmax_violation(
     increasing = check_increasing(spec)
     if increasing.fails:
         t1, t2 = increasing.witness["t1"], increasing.witness["t2"]
-        return _triple_violation(spec, t1, t2, t2, minmax_equation_holds)
+        return _triple_violation(spec, minmax_equation_holds, t1, t2, t2)
     return None
 
 

@@ -3,7 +3,9 @@
 Subcommands: classify, witness, transform, verify, embed, generate, suite.
 Exit codes are a stable contract: 0 pass, 1 usage/parse error, 2 fails with
 witness, 3 undetermined, 4 no witness found. All commands are deterministic
-given their inputs and seed; ULTRA_SEED is the seed fallback.
+given their inputs and seed; ULTRA_SEED is the seed fallback for the
+commands that take --seed. Each subcommand accepts only the options it reads.
+JSON output is strict: a document holding a non-finite number is an error.
 """
 
 from __future__ import annotations
@@ -67,12 +69,18 @@ def _resolve_seed(args) -> int:
     return int(os.environ.get("ULTRA_SEED", "0"))
 
 
-def _emit(doc, args) -> None:
-    text = json.dumps(doc, indent=2)
+def _emit(doc, args, code: int = EXIT_OK) -> int:
+    """Write doc as strict JSON to --out or stdout and return code; a
+    non-finite number writes nothing and fails with a usage error."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        return _fail("output holds a non-finite number, which strict JSON cannot carry")
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
+    return code
 
 
 def _emit_text(text: str, args) -> None:
@@ -124,13 +132,12 @@ def cmd_classify(args) -> int:
     except FunctionSpecError as exc:
         return _fail(str(exc))
     doc = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
-    _emit(doc, args)
     statuses = [r.ultrametric_preserving.status for r in reports]
     if any(s is Status.FAILS for s in statuses):
-        return EXIT_FAILS
+        return _emit(doc, args, EXIT_FAILS)
     if any(s is Status.UNDETERMINED for s in statuses):
-        return EXIT_UNDETERMINED
-    return EXIT_OK
+        return _emit(doc, args, EXIT_UNDETERMINED)
+    return _emit(doc, args)
 
 
 def cmd_witness(args) -> int:
@@ -146,10 +153,9 @@ def cmd_witness(args) -> int:
     except (PreconditionFailed, FunctionSpecError) as exc:
         return _fail(str(exc))
     if cert is None:
-        _emit({"result": "no_witness_found", "function": spec.source, "mode": args.mode}, args)
-        return EXIT_NO_WITNESS
-    _emit(cert.to_json(), args)
-    return EXIT_OK
+        doc = {"result": "no_witness_found", "function": spec.source, "mode": args.mode}
+        return _emit(doc, args, EXIT_NO_WITNESS)
+    return _emit(cert.to_json(), args)
 
 
 def cmd_transform(args) -> int:
@@ -175,9 +181,8 @@ def cmd_transform(args) -> int:
     if args.format == "csv":
         _emit_text(space_to_csv(image), args)
         print(json.dumps(summary, indent=2), file=sys.stderr)
-    else:
-        _emit({"matrix": space_to_dict(image), "summary": summary}, args)
-    return EXIT_OK
+        return EXIT_OK
+    return _emit({"matrix": space_to_dict(image), "summary": summary}, args)
 
 
 def cmd_verify(args) -> int:
@@ -203,8 +208,7 @@ def cmd_verify(args) -> int:
             {"eps": eps, "balls": covering_number(space, eps)} for eps in (args.eps or [])
         ],
     }
-    _emit(doc, args)
-    return EXIT_OK
+    return _emit(doc, args)
 
 
 def cmd_embed(args) -> int:
@@ -227,14 +231,13 @@ def cmd_embed(args) -> int:
     except (NotUltrametric, WrongSize, SpectrumNotEmbeddable) as exc:
         return _fail(str(exc))
     doc["isometric"] = True  # embeddings verify internally before returning
-    _emit(doc, args)
-    return EXIT_OK
+    return _emit(doc, args)
 
 
 def cmd_generate(args) -> int:
-    seed = _resolve_seed(args)
     try:
         if args.kind == "random":
+            seed = _resolve_seed(args)
             space = random_ultrametric(args.n, seed, args.level_distribution)
             prov = _provenance("random", seed, n=args.n,
                                level_distribution=args.level_distribution)
@@ -263,9 +266,8 @@ def cmd_generate(args) -> int:
         return _fail(str(exc))
     if args.format == "csv":
         _emit_text(space_to_csv(space), args)
-    else:
-        _emit(space_to_dict(space, provenance=prov), args)
-    return EXIT_OK
+        return EXIT_OK
+    return _emit(space_to_dict(space, provenance=prov), args)
 
 
 def cmd_suite(args) -> int:
@@ -282,24 +284,29 @@ def cmd_suite(args) -> int:
     for result in report.results:
         tag = "PASS" if result.passed else "FAIL"
         print(f"[{tag}] {result.name}")
-    out = args.out or "suite_summary.json"
-    Path(out).write_text(json.dumps(report.to_json(), indent=2) + "\n")
-    print(f"summary written to {out}")
-    return EXIT_OK if report.passed else EXIT_FAILS
+    code = _emit(report.to_json(), args, EXIT_OK if report.passed else EXIT_FAILS)
+    if code != EXIT_USAGE:
+        print(f"summary written to {args.out}")
+    return code
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 
 
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (fallback: ULTRA_SEED, then 0)")
-    common.add_argument("--budget", type=int, default=None,
-                        help="sample budget for probabilistic checks")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="write output to FILE instead of stdout")
+    seed = _option("--seed", type=int, default=None,
+                   help="RNG seed (fallback: ULTRA_SEED, then 0)")
+    budget = _option("--budget", type=int, default=None,
+                     help="sample budget for probabilistic checks")
+    fmt = _option("--format", choices=("json", "csv"), default="json")
+    out = _option("--out", default=None, help="write output to FILE instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="ultrapreserve",
@@ -309,13 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ultrapreserve {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[seed, budget, out],
                        help="full membership report for a function spec")
     p.add_argument("function", help="DSL expression or path to a function file")
     p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("witness", parents=[common],
-                       help="synthesize a counterexample space")
+    p = sub.add_parser("witness", parents=[out], help="synthesize a counterexample space")
     p.add_argument("function")
     p.add_argument("--mode", choices=("pu", "pt"), default="pu",
                    help="pu: not ultrametric-preserving; pt: not topology-preserving")
@@ -323,49 +329,49 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncation size for the covering divergence table")
     p.set_defaults(handler=cmd_witness)
 
-    p = sub.add_parser("transform", parents=[common],
+    p = sub.add_parser("transform", parents=[fmt, out],
                        help="apply a function to a distance matrix")
     p.add_argument("matrix")
     p.add_argument("function")
     p.set_defaults(handler=cmd_transform)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="predicate report for a distance matrix")
+    p = sub.add_parser("verify", parents=[out], help="predicate report for a distance matrix")
     p.add_argument("matrix")
     p.add_argument("--eps", type=float, action="append",
                    help="report the covering number at this radius (repeatable)")
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("embed", parents=[common],
+    p = sub.add_parser("embed", parents=[out],
                        help="embed a 3-point ultrametric space into a universal space")
     p.add_argument("matrix")
     p.add_argument("--family", choices=("universal", "tbu"), default="universal")
     p.add_argument("--ratio", type=float, default=0.5)
     p.set_defaults(handler=cmd_embed)
 
-    p = sub.add_parser("generate", parents=[common], help="construct ultrametric spaces")
+    p = sub.add_parser("generate", help="construct ultrametric spaces")
     gen = p.add_subparsers(dest="kind", required=True)
-    g = gen.add_parser("random", parents=[common])
+    g = gen.add_parser("random", parents=[seed, fmt, out])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--level-distribution", default="log2-uniform",
                    choices=("log2-uniform", "uniform"))
-    g = gen.add_parser("dplus", parents=[common])
+    g = gen.add_parser("dplus", parents=[fmt, out])
     g.add_argument("--values", type=float, nargs="+", required=True)
-    g = gen.add_parser("dplus2", parents=[common])
+    g = gen.add_parser("dplus2", parents=[fmt, out])
     g.add_argument("--points", nargs="+", required=True, metavar="S,T")
-    g = gen.add_parser("tbu", parents=[common])
+    g = gen.add_parser("tbu", parents=[fmt, out])
     g.add_argument("--levels", type=int, default=8)
     g.add_argument("--ratio", type=float, default=0.5)
     g.add_argument("--mirrored", action="store_true")
-    g = gen.add_parser("equilateral", parents=[common])
+    g = gen.add_parser("equilateral", parents=[fmt, out])
     g.add_argument("--side", type=float, required=True)
-    g = gen.add_parser("isosceles", parents=[common])
+    g = gen.add_parser("isosceles", parents=[fmt, out])
     g.add_argument("--c1", type=float, required=True)
     g.add_argument("--c2", type=float, required=True)
     p.set_defaults(handler=cmd_generate)
 
-    p = sub.add_parser("suite", parents=[common],
+    p = sub.add_parser("suite", parents=[seed, budget],
                        help="run the cross-module verification suites")
+    p.add_argument("--out", default="suite_summary.json", help="summary file")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--max-points", type=int, default=12)
     p.set_defaults(handler=cmd_suite)

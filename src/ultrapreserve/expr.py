@@ -335,35 +335,17 @@ def walk(node: Node):
 
 def fold_constant(node: Node) -> Optional[float]:
     """Value of a constant subtree, or None if it depends on t."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, (Var, CantorHat, StepAbove, Piecewise)):
+    if any(isinstance(sub, (Var, CantorHat, StepAbove, Piecewise)) for sub in walk(node)):
         return None
-    vals = [fold_constant(c) for c in children(node)]
-    if any(v is None for v in vals):
-        return None
-    if isinstance(node, Sum):
-        return vals[0] + vals[1]
-    if isinstance(node, Difference):
-        return vals[0] - vals[1]
-    if isinstance(node, Product):
-        return vals[0] * vals[1]
-    if isinstance(node, Power):
-        return _pow(vals[0], node.exponent)
-    if isinstance(node, Min):
-        return min(vals)
-    if isinstance(node, Max):
-        return max(vals)
-    raise TypeError(f"unknown node {node!r}")
+    return evaluate(node, 0.0)
 
 
 def first_negative_fold(node: Node) -> Optional[Node]:
-    """First subtree (preorder) that folds to a negative constant."""
-    for sub in walk(node):
-        v = fold_constant(sub)
-        if v is not None and v < 0:
-            return sub
-    return None
+    """First subtree (preorder) that folds to a negative constant. Every
+    subtree is folded before any is tested, so an undefined constant anywhere
+    raises ahead of a negative one."""
+    folds = [(sub, fold_constant(sub)) for sub in walk(node)]
+    return next((sub for sub, v in folds if v is not None and v < 0), None)
 
 
 def breakpoints(node: Node) -> tuple[float, ...]:

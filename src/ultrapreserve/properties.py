@@ -133,6 +133,26 @@ def check_increasing(spec: FunctionSpec, budget: int = DEFAULT_GRID_BUDGET) -> P
     return PropertyVerdict(Status.HOLDS, None, len(grid), exact=False)
 
 
+def _scan_probes(violation, fixed, sampled, seed: int) -> PropertyVerdict:
+    """Fixed probes in order, then the lexicographically smallest sampled
+    violation; `violation(*probe)` returns a witness dict or None."""
+    used = 0
+    for probe in fixed:
+        used += 1
+        w = violation(*probe)
+        if w is not None:
+            return PropertyVerdict(Status.FAILS, w, used, exact=True, seed=seed)
+    best, best_probe = None, None
+    for probe in map(tuple, sampled.tolist()):
+        used += 1
+        w = violation(*probe)
+        if w is not None and (best is None or probe < best_probe):
+            best, best_probe = w, probe
+    if best is not None:
+        return PropertyVerdict(Status.FAILS, best, used, exact=True, seed=seed)
+    return PropertyVerdict(Status.HOLDS, None, used, exact=False, seed=seed)
+
+
 _SUBADDITIVE_FIXED_PAIRS = ((0.0, 0.0), (1.0, 1.0))
 
 
@@ -147,23 +167,9 @@ def check_subadditive(
             return {"x": x, "y": y, "f_x": fx, "f_y": fy, "f_sum": fs}
         return None
 
-    used = 0
-    for x, y in _SUBADDITIVE_FIXED_PAIRS:
-        used += 1
-        w = violation(x, y)
-        if w is not None:
-            return PropertyVerdict(Status.FAILS, w, used, exact=True, seed=seed)
     rng = np.random.default_rng(seed)
     pairs = 2.0 ** rng.uniform(-30.0, 30.0, size=(budget, 2))
-    best: Optional[dict] = None
-    for x, y in pairs:
-        used += 1
-        w = violation(float(x), float(y))
-        if w is not None and (best is None or (w["x"], w["y"]) < (best["x"], best["y"])):
-            best = w
-    if best is not None:
-        return PropertyVerdict(Status.FAILS, best, used, exact=True, seed=seed)
-    return PropertyVerdict(Status.HOLDS, None, used, exact=False, seed=seed)
+    return _scan_probes(violation, _SUBADDITIVE_FIXED_PAIRS, pairs, seed)
 
 
 def check_continuous_at_zero(spec: FunctionSpec) -> PropertyVerdict:

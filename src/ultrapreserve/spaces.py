@@ -163,40 +163,35 @@ def validate_space(matrix, labels: Optional[Sequence[str]] = None) -> FiniteSemi
     return FiniteSemimetricSpace(labels, m)
 
 
-def _first_violation(d: np.ndarray, strong: bool) -> TripleViolation:
+def _first_violating_triple(d: np.ndarray, combine, kind: str) -> Optional[TripleViolation]:
+    """Lexicographically first triple (i, j, k) of distinct points with
+    d[i, j] > combine(d[i, k], d[k, j]), one numpy comparison per first index."""
     n = d.shape[0]
+    columns = np.ascontiguousarray(d.T)  # columns[j, k] = d[k, j]
     for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                rhs = max(d[i, k], d[k, j]) if strong else d[i, k] + d[k, j]
-                if d[i, j] > rhs:
-                    kind = "strong_triangle" if strong else "triangle"
-                    return TripleViolation((i, j, k), float(d[i, j]), float(rhs), kind)
-    raise RuntimeError("violation vanished between vectorized and exact scan")
+        bad = d[i][:, None] > combine(d[i][None, :], columns)  # bad[j, k]
+        if not bad.any():
+            continue
+        bad[i, :] = False
+        bad[:, i] = False
+        np.fill_diagonal(bad, False)
+        j, k = divmod(int(bad.argmax()), n)
+        if bad[j, k]:
+            rhs = float(combine(d[i, k], d[k, j]))
+            return TripleViolation((i, j, k), float(d[i, j]), rhs, kind)
+    return None
 
 
 def is_ultrametric(space: FiniteSemimetricSpace) -> tuple[bool, Optional[TripleViolation]]:
-    """True iff every ordered triple satisfies d(x,y) <= max(d(x,z), d(z,y))."""
-    d = space.dist
-    n = d.shape[0]
-    for k in range(n):
-        if (d > np.maximum.outer(d[:, k], d[k, :])).any():
-            return False, _first_violation(d, strong=True)
-    return True, None
+    """True iff every triple of distinct points has d(x,y) <= max(d(x,z), d(z,y))."""
+    violation = _first_violating_triple(space.dist, np.maximum, "strong_triangle")
+    return violation is None, violation
 
 
 def is_metric(space: FiniteSemimetricSpace) -> tuple[bool, Optional[TripleViolation]]:
-    """True iff every ordered triple satisfies d(x,y) <= d(x,z) + d(z,y)."""
-    d = space.dist
-    n = d.shape[0]
-    for k in range(n):
-        if (d > np.add.outer(d[:, k], d[k, :])).any():
-            return False, _first_violation(d, strong=False)
-    return True, None
+    """True iff every triple of distinct points has d(x,y) <= d(x,z) + d(z,y)."""
+    violation = _first_violating_triple(space.dist, np.add, "triangle")
+    return violation is None, violation
 
 
 def distance_spectrum(space: FiniteSemimetricSpace) -> tuple[float, ...]:

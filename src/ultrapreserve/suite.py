@@ -15,7 +15,6 @@ import numpy as np
 from . import __version__
 from .classify import (
     check_minmax_equation,
-    check_subadditive,
     check_triplet_preservation,
     classify_strongly_preserving,
     classify_ultrametric_preserving,
@@ -24,8 +23,9 @@ from .classify import (
     minmax_equation_holds,
 )
 from .expr import FunctionSpec, cantor_hat
-from .generators import random_ultrametric, snapped_levels, triangle_equilateral
+from .generators import dplus2_space, random_ultrametric, snapped_levels, triangle_equilateral
 from .parser import parse_function_spec
+from .properties import check_subadditive
 from .spaces import (
     apply_function,
     are_isometric_small,
@@ -34,7 +34,6 @@ from .spaces import (
     minimum_covering_number,
 )
 from .witnesses import (
-    dplus2_space,
     embed_three_point_universal,
     verify_certificate,
     witness_not_strongly_preserving,

@@ -175,6 +175,21 @@ class TestEmbedGenerate:
         code, _ = run(capsys, "generate", "isosceles", "--c1", "3", "--c2", "2")
         assert code == 1
 
+    def test_generate_options_follow_the_kind(self, capsys):
+        code, out = run(capsys, "generate", "--seed", "5", "random", "--n", "3")
+        assert code == 1 and out == ""
+        code, out = run(capsys, "generate", "random", "--n", "3", "--seed", "5")
+        assert code == 0
+        assert json.loads(out)["provenance"]["seed"] == 5
+
+    def test_generate_out_after_the_kind(self, capsys, tmp_path):
+        path = tmp_path / "tri.json"
+        code, out = run(capsys, "generate", "--out", str(path), "equilateral", "--side", "1")
+        assert code == 1 and out == "" and not path.exists()
+        code, out = run(capsys, "generate", "equilateral", "--side", "1", "--out", str(path))
+        assert code == 0 and out == ""
+        assert json.loads(path.read_text())["dist"][0] == [0.0, 1.0, 1.0]
+
 
 class TestSuiteCommand:
     def test_small_suite_passes_and_persists(self, capsys, tmp_path):
@@ -223,9 +238,37 @@ class TestUndefinedValues:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestStrictJson:
+    """A document with a non-finite number is an error, and nothing is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "pow(1e308, 3)"],
+        ["generate", "dplus", "--values", "1", "inf"],
+    ])
+    def test_non_finite_output_exits_one(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.json"
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert main([*argv, "--out", str(path)]) == 1
+        assert not path.exists()
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "M", "--format", "csv"],
+        ["witness", "t", "--seed", "1"],
+        ["witness", "t", "--budget", "64"],
+        ["transform", "M", "t", "--seed", "1"],
+        ["embed", "M", "--budget", "64"],
+        ["generate", "dplus", "--values", "1", "--seed", "1"],
+    ])
+    def test_unread_option_is_a_usage_error(self, capsys, matrix_122, argv):
+        assert main([matrix_122 if a == "M" else a for a in argv]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_output_to_file(self, capsys, tmp_path, matrix_122):
         out_file = tmp_path / "report.json"

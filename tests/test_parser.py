@@ -15,6 +15,7 @@ from ultrapreserve.expr import (
     Product,
     StepAbove,
     Sum,
+    UndefinedValue,
     Var,
     to_text,
 )
@@ -103,6 +104,11 @@ class TestErrors:
             parse_function_spec("3 - 5")
         with pytest.raises(NegativeValueRisk):
             parse_function_spec("t + (2 - 3)")
+
+    def test_undefined_constant_reported_before_negative_one(self):
+        # every constant subtree folds before any is tested for its sign
+        with pytest.raises(UndefinedValue, match=r"pow\(-1\.0, 0\.5\)"):
+            parse_function_spec("t + (0 - 2) + pow(0 - 1, 0.5)")
 
     def test_variable_subtraction_allowed(self):
         # not statically negative: only a constant fold is rejected

@@ -3,6 +3,8 @@ isometry search.
 
 Independent oracles used here:
   * `three_subset_ultrametric` — exhaustive check over all 3-point subspaces;
+  * `first_violation_oracle` — the first violating triple of distinct points
+    by a plain triple loop, for both predicates on any matrix;
   * `component_covering` — for ultrametric spaces, d(x,y) <= eps is
     transitive, so the minimum net size equals the number of connected
     components of the threshold graph;
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given
 
 from conftest import ultrametric_spaces
-from ultrapreserve.generators import dplus_space, tbu_noncompact_truncation
+from ultrapreserve.generators import dplus_space, random_ultrametric, tbu_noncompact_truncation
 from ultrapreserve.parser import parse_function_spec
 from ultrapreserve.spaces import (
     AsymmetricEntry,
@@ -60,6 +62,37 @@ def three_subset_ultrametric(space) -> bool:
         if vals[2] > vals[1]:  # two largest sides must agree
             return False
     return True
+
+
+def first_violation_oracle(d, strong: bool):
+    """Oracle: lexicographically first (i, j, k), all distinct, with
+    d[i, j] > max(d[i, k], d[k, j]) (strong) or d[i, k] + d[k, j]."""
+    n = d.shape[0]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if len({i, j, k}) < 3:
+            continue
+        rhs = max(d[i, k], d[k, j]) if strong else d[i, k] + d[k, j]
+        if d[i, j] > rhs:
+            kind = "strong_triangle" if strong else "triangle"
+            return TripleViolation((i, j, k), float(d[i, j]), float(rhs), kind)
+    return None
+
+
+def oracle_matrices(kind: str, count: int = 120, seed: int = 0):
+    """Seeded corpus: valid ultrametrics, ultrametrics with one entry planted
+    above the maximum, and unvalidated integer matrices (negative entries,
+    zero entries and nonzero diagonals included)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 8))
+        if kind == "unvalidated":
+            yield rng.integers(-2, 4, size=(n, n)).astype(float)
+            continue
+        d = np.array(random_ultrametric(n, int(rng.integers(2**32))).dist)
+        if kind == "planted" and n >= 2:
+            a, b = (int(x) for x in rng.choice(n, 2, replace=False))
+            d[a, b] = d[b, a] = d.max() * float(rng.choice([1.5, 2.5, 4.0]))
+        yield d
 
 
 def component_covering(space, eps) -> int:
@@ -151,6 +184,25 @@ class TestPredicates:
         space = sides(1, 2, 3)
         assert not three_subset_ultrametric(space)
         assert not is_ultrametric(space)[0]
+
+    @pytest.mark.parametrize("kind", ["valid", "planted", "unvalidated"])
+    def test_first_violation_matches_triple_loop(self, kind):
+        for d in oracle_matrices(kind):
+            space = FiniteSemimetricSpace([f"x{i}" for i in range(len(d))], d)
+            for predicate, strong in ((is_ultrametric, True), (is_metric, False)):
+                want = first_violation_oracle(d, strong)
+                assert predicate(space) == (want is None, want)
+
+    @pytest.mark.parametrize("predicate", [is_ultrametric, is_metric])
+    def test_degenerate_triples_are_ignored(self, predicate):
+        # d[0,0] = 1 > 0 only on triples that repeat a point
+        space = FiniteSemimetricSpace(("a", "b"), [[1, 0], [0, 1]])
+        assert predicate(space) == (True, None)
+
+    def test_negative_diagonal_breaks_only_degenerate_triangles(self):
+        # d[0,1] = 1 > d[0,1] + d[1,1] = 0 needs k == j
+        space = FiniteSemimetricSpace(("a", "b", "c"), [[0, 1, 1], [1, -1, 1], [1, 1, 0]])
+        assert is_metric(space) == (True, None)
 
 
 class TestSpectra:
