@@ -294,6 +294,16 @@ def cmd_suite(args) -> int:
 # Argument parsing
 
 
+def _sample_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return value
+
+
 def _option(*flags, **kwargs) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(*flags, **kwargs)
@@ -303,8 +313,8 @@ def _option(*flags, **kwargs) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     seed = _option("--seed", type=int, default=None,
                    help="RNG seed (fallback: ULTRA_SEED, then 0)")
-    budget = _option("--budget", type=int, default=None,
-                     help="sample budget for probabilistic checks")
+    budget = _option("--budget", type=_sample_count, default=None,
+                     help="sample budget for probabilistic checks (0: fixed probes only)")
     fmt = _option("--format", choices=("json", "csv"), default="json")
     out = _option("--out", default=None, help="write output to FILE instead of stdout")
 

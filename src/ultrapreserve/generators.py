@@ -123,6 +123,9 @@ def random_ultrametric(
 def dplus_space(values: Iterable[float]) -> FiniteSemimetricSpace:
     """Finite sample of the half-line under d(p, q) = max(p, q) for p != q."""
     vals = [float(v) for v in values]
+    outside = [v for v in vals if not 0.0 <= v < math.inf]
+    if outside:
+        raise NotInDomain(f"values must be finite and >= 0, got {outside[0]!r}")
     if len(set(vals)) != len(vals):
         raise DuplicateValue("values must be distinct")
     n = len(vals)

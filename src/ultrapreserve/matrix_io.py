@@ -78,7 +78,13 @@ def save_space(
 ) -> None:
     path = Path(path)
     if fmt == "json":
-        path.write_text(json.dumps(space_to_dict(space, provenance), indent=2) + "\n")
+        try:
+            text = json.dumps(space_to_dict(space, provenance), indent=2, allow_nan=False)
+        except ValueError:
+            raise SpaceValidationError(
+                f"cannot save {path}: a non-finite number has no strict JSON form"
+            ) from None
+        path.write_text(text + "\n")
     elif fmt == "csv":
         path.write_text(space_to_csv(space))
     else:

@@ -120,7 +120,7 @@ def check_increasing(spec: FunctionSpec, budget: int = DEFAULT_GRID_BUDGET) -> P
     if monotone_certified(spec.root):
         return PropertyVerdict(Status.HOLDS, None, 0, exact=True)
     grid = probe_points(spec, budget, include_zero=True)
-    values = [spec(float(t)) for t in grid]
+    values = spec.values(grid).tolist()
     for k in range(len(grid) - 1):
         if values[k] > values[k + 1]:
             witness = {
@@ -133,24 +133,21 @@ def check_increasing(spec: FunctionSpec, budget: int = DEFAULT_GRID_BUDGET) -> P
     return PropertyVerdict(Status.HOLDS, None, len(grid), exact=False)
 
 
-def _scan_probes(violation, fixed, sampled, seed: int) -> PropertyVerdict:
+def _scan_probes(violation, fails, fixed, sampled: np.ndarray, seed: int) -> PropertyVerdict:
     """Fixed probes in order, then the lexicographically smallest sampled
-    violation; `violation(*probe)` returns a witness dict or None."""
-    used = 0
-    for probe in fixed:
-        used += 1
+    violation. `violation(*probe)` returns a witness dict or None, and
+    `fails(sampled)` marks the violating rows of the sampled array in one
+    batch; the witness of the smallest such row comes from `violation`."""
+    for used, probe in enumerate(fixed, 1):
         w = violation(*probe)
         if w is not None:
             return PropertyVerdict(Status.FAILS, w, used, exact=True, seed=seed)
-    best, best_probe = None, None
-    for probe in map(tuple, sampled.tolist()):
-        used += 1
-        w = violation(*probe)
-        if w is not None and (best is None or probe < best_probe):
-            best, best_probe = w, probe
-    if best is not None:
-        return PropertyVerdict(Status.FAILS, best, used, exact=True, seed=seed)
-    return PropertyVerdict(Status.HOLDS, None, used, exact=False, seed=seed)
+    used = len(fixed) + len(sampled)
+    bad = sampled[fails(sampled)]
+    if not len(bad):
+        return PropertyVerdict(Status.HOLDS, None, used, exact=False, seed=seed)
+    first = bad[np.lexsort(bad.T[::-1])[0]]  # lexsort's primary key is its last
+    return PropertyVerdict(Status.FAILS, violation(*first.tolist()), used, exact=True, seed=seed)
 
 
 _SUBADDITIVE_FIXED_PAIRS = ((0.0, 0.0), (1.0, 1.0))
@@ -167,9 +164,14 @@ def check_subadditive(
             return {"x": x, "y": y, "f_x": fx, "f_y": fy, "f_sum": fs}
         return None
 
+    def fails(pairs: np.ndarray) -> np.ndarray:
+        x, y = pairs.T
+        fx, fy, fs = spec.values(np.column_stack([x, y, x + y])).T
+        return fs > fx + fy
+
     rng = np.random.default_rng(seed)
     pairs = 2.0 ** rng.uniform(-30.0, 30.0, size=(budget, 2))
-    return _scan_probes(violation, _SUBADDITIVE_FIXED_PAIRS, pairs, seed)
+    return _scan_probes(violation, fails, _SUBADDITIVE_FIXED_PAIRS, pairs, seed)
 
 
 def check_continuous_at_zero(spec: FunctionSpec) -> PropertyVerdict:
@@ -214,7 +216,7 @@ def inf_on_positive(spec: FunctionSpec, budget: int = DEFAULT_GRID_BUDGET) -> In
     if exact is not None:
         return InfimumBound(exact, True)
     grid = probe_points(spec, budget)
-    estimate = min(spec(float(t)) for t in grid)
+    estimate = min(spec.values(grid).tolist())
     return InfimumBound(estimate, False)
 
 

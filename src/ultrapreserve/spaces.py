@@ -31,25 +31,27 @@ class NotSquare(SpaceValidationError):
 
 class NonFiniteEntry(SpaceValidationError):
     def __init__(self, i, j, value):
-        super().__init__(f"entry ({i},{j}) is not finite: {value!r}")
+        super().__init__(f"entry ({i},{j}) is not finite: {float(value)!r}")
         self.indices = (i, j)
 
 
 class AsymmetricEntry(SpaceValidationError):
     def __init__(self, i, j, value, mirrored):
-        super().__init__(f"entry ({i},{j}) = {value!r} but ({j},{i}) = {mirrored!r}")
+        super().__init__(
+            f"entry ({i},{j}) = {float(value)!r} but ({j},{i}) = {float(mirrored)!r}"
+        )
         self.indices = (i, j)
 
 
 class NonzeroDiagonal(SpaceValidationError):
     def __init__(self, i, value):
-        super().__init__(f"diagonal entry ({i},{i}) = {value!r}, expected 0")
+        super().__init__(f"diagonal entry ({i},{i}) = {float(value)!r}, expected 0")
         self.indices = (i, i)
 
 
 class NonpositiveOffDiagonal(SpaceValidationError):
     def __init__(self, i, j, value):
-        super().__init__(f"off-diagonal entry ({i},{j}) = {value!r}, expected > 0")
+        super().__init__(f"off-diagonal entry ({i},{j}) = {float(value)!r}, expected > 0")
         self.indices = (i, j)
         self.value = value
 

@@ -1,11 +1,14 @@
 """Preservation-class verdicts and the aggregated report."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultrapreserve.classify import (
+    _sample_triangle_triples,
     check_minmax_equation,
     check_triplet_preservation,
     classification_report,
@@ -16,6 +19,7 @@ from ultrapreserve.classify import (
     minmax_equation_holds,
     triangle_triplet_holds,
 )
+from ultrapreserve.cli import main
 from ultrapreserve.generators import random_ultrametric
 from ultrapreserve.parser import parse_function_spec
 from ultrapreserve.spaces import apply_function, is_ultrametric
@@ -190,3 +194,54 @@ class TestConsistencyInvariants:
     def test_non_members_found_by_directed_search(self):
         for k, f in enumerate(inversion_family()):
             assert find_minmax_violation(f, samples=200, seed=k) is not None
+
+
+def rejection_sampler_reference(rng, count):
+    """The triangle-triple sampler as it was before the exponent-gap filter:
+    every draw is raised to a power of 2 and tested."""
+    rows = []
+    have = 0
+    while have < count:
+        batch = 2.0 ** rng.uniform(-30.0, 30.0, size=(max(count, 1024), 3))
+        mask = 2.0 * batch.max(axis=1) <= batch.sum(axis=1)
+        good = batch[mask]
+        rows.append(good)
+        have += len(good)
+    return np.concatenate(rows)[:count]
+
+
+class TestTriangleSampler:
+    # The reference takes ~0.2 s and ~0.6 s per call at the two large counts,
+    # so those run on a few seeds; the small counts run on 200.
+    @pytest.mark.parametrize("count, seeds", [(1, 200), (300, 200), (4096, 3), (10_000, 3)])
+    def test_bit_identical_to_rejection_reference(self, count, seeds):
+        for seed in range(seeds):
+            got = _sample_triangle_triples(np.random.default_rng(seed), count)
+            want = rejection_sampler_reference(np.random.default_rng(seed), count)
+            assert got.shape == want.shape == (count, 3)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
+
+    def test_count_zero_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        assert _sample_triangle_triples(rng, 0).shape == (0, 3)
+        assert rng.uniform() == np.random.default_rng(0).uniform()
+
+
+GOLDEN = Path(__file__).parent / "golden" / "classify_seed0.json"
+
+
+class TestGoldenReports:
+    """`classify --seed 0` on the script catalog and the inversion family,
+    byte for byte as captured at commit a19c4d1 (scalar sampled scans)."""
+
+    golden = json.loads(GOLDEN.read_text())
+
+    def test_covers_the_inversion_family(self):
+        assert {s.source for s in inversion_family()} <= {e["function"] for e in self.golden}
+
+    @pytest.mark.parametrize("entry", golden, ids=lambda e: e["function"])
+    def test_stdout_and_exit_code(self, capsys, entry):
+        code = main(["classify", entry["function"], "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == entry["exit_code"] and captured.err == ""
+        assert captured.out == json.dumps(entry["report"], indent=2) + "\n"

@@ -254,6 +254,45 @@ class TestStrictJson:
         assert not path.exists()
 
 
+class TestBudget:
+    """--budget 0 runs the fixed probes only; a negative budget is a usage error."""
+
+    def test_classify_budget_zero_uses_fixed_probes(self, capsys):
+        code, out = run(capsys, "classify", "t", "--budget", "0")
+        verdicts = json.loads(out)["verdicts"]
+        assert code == 0
+        assert verdicts["triplet_preservation"]["budget_used"] == 3
+        assert verdicts["minmax_equation"]["budget_used"] == 2
+
+    def test_suite_budget_zero_runs(self, capsys, tmp_path):
+        code, out = run(capsys, "suite", "--trials", "4", "--budget", "0",
+                        "--out", str(tmp_path / "s.json"))
+        assert code == 0 and out.count("[PASS]") == 9
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "t", "--budget", "-5"],
+        ["suite", "--budget", "-1"],
+    ])
+    def test_negative_budget_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--budget" in captured.err
+
+
+class TestNonFiniteInput:
+    def test_dplus_rejects_infinite_value_in_csv(self, capsys):
+        assert main(["generate", "dplus", "--values", "1", "inf", "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: values must be finite and >= 0, got inf\n"
+
+    def test_verify_names_the_entry_as_a_plain_float(self, capsys, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"labels": ["a", "b"], "dist": [[0, 1e999], [1e999, 0]]}')
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().err == "error: entry (0,1) is not finite: inf\n"
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

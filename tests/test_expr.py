@@ -6,10 +6,12 @@ rational with integer arithmetic and never touches the float code path.
 """
 
 import math
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultrapreserve.expr import (
     CantorHat,
@@ -19,6 +21,7 @@ from ultrapreserve.expr import (
     Max,
     Min,
     NegativeInput,
+    UndefinedValue,
     Piece,
     Piecewise,
     Power,
@@ -28,6 +31,7 @@ from ultrapreserve.expr import (
     Var,
     cantor_hat,
     evaluate,
+    evaluate_many,
     limit_at_infinity,
     monotone_certified,
     positive_certified,
@@ -216,3 +220,119 @@ def test_to_text_round_trips_structure():
 
     node = Max(Const(0.0), Difference(Var(), Const(1.0)))
     assert parse_function_spec(to_text(node)).root == node
+
+
+# Random DSL trees for the batch evaluator: neither monotone nor amenable in
+# general, with constants and exponents that reach overflow, inf - inf, 0 * inf
+# and negative bases under fractional powers.
+_CONSTANTS = st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 7.25, 1e-300, 1e308])
+_EXPONENTS = st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 1.5, 2.0, 3.0])
+_CUTS = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+
+_trees = st.recursive(
+    st.one_of(
+        st.builds(Const, _CONSTANTS),
+        st.just(Var()),
+        st.just(CantorHat()),
+        st.builds(StepAbove, _CONSTANTS),
+    ),
+    lambda sub: st.one_of(
+        *(st.builds(cls, sub, sub) for cls in (Sum, Difference, Product, Min, Max)),
+        st.builds(Power, sub, _EXPONENTS),
+        st.builds(
+            lambda cut, closed, low, high: Piecewise((
+                Piece(0.0, cut, True, not closed, low),
+                Piece(cut, math.inf, closed, False, high),
+            )),
+            _CUTS, st.booleans(), sub, sub,
+        ),
+    ),
+    max_leaves=12,
+)
+
+_PROBES = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=4.0),
+        st.floats(min_value=0.0, allow_infinity=True),
+        st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 1.0, 2.0, 2.0**-60, 2.0**60, -1.0, math.nan]),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _scalar(fn, t):
+    try:
+        return fn(t), None
+    except Exception as exc:  # any exception is part of the behaviour compared
+        return None, exc
+
+
+_NAN = Difference(Const(math.inf), Const(math.inf))
+_NEGATIVE_ZERO = Product(Const(0.0), Difference(Var(), Const(2.0)))  # -0.0 for t < 2
+
+
+class TestEvaluateMany:
+    @settings(max_examples=300)
+    @given(_trees, _PROBES)
+    # Python's min/max keep the first argument on ties (0.0 vs -0.0) and
+    # unless the second compares strictly below/above it (never for NaN)
+    @example(Min(Const(1.0), _NAN), [1.0])
+    @example(Min(_NAN, Const(1.0)), [1.0])
+    @example(Max(Const(1.0), _NAN), [1.0])
+    @example(Min(Const(0.0), _NEGATIVE_ZERO), [1.0])
+    @example(Max(_NEGATIVE_ZERO, Const(0.0)), [1.0])
+    def test_bit_identical_to_evaluate(self, node, ts):
+        values, undefined = evaluate_many(node, np.array(ts))
+        for k, t in enumerate(ts):
+            expected, exc = _scalar(lambda x: evaluate(node, x), t)
+            assert bool(undefined[k]) == (exc is not None), (to_text(node), t, exc)
+            if exc is None:
+                assert _bits(values[k]) == _bits(expected), (to_text(node), t)
+
+    @settings(max_examples=300)
+    @given(_trees, _PROBES)
+    def test_values_raise_as_the_first_failing_call(self, node, ts):
+        spec = FunctionSpec.from_node(node)
+        expected, exc = [], None
+        for t in ts:
+            value, exc = _scalar(spec, t)
+            if exc is not None:
+                break
+            expected.append(value)
+        got, got_exc = _scalar(spec.values, np.array(ts))
+        if exc is None:
+            assert got_exc is None, (spec.source, got_exc)
+            assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in expected]
+        else:
+            assert type(got_exc) is type(exc) and str(got_exc) == str(exc), spec.source
+
+    @pytest.mark.parametrize("exponent", [0.25, 1.0 / 3.0, 0.5, 1.5, 2.0, 3.0])
+    def test_power_matches_math_pow_to_the_bit(self, exponent):
+        # np.power differs from math.pow in the last ulp on ~5% of these
+        ts = 2.0 ** np.random.default_rng(0).uniform(-30.0, 30.0, 4096)
+        values, undefined = evaluate_many(Power(Var(), exponent), ts)
+        assert not undefined.any()
+        assert values.tobytes() == np.array([math.pow(t, exponent) for t in ts.tolist()]).tobytes()
+
+    def test_cantor_matches_the_scalar_digit_loop(self):
+        ts = np.concatenate([np.random.default_rng(0).uniform(0.0, 1.2, 4096),
+                             [k / 3.0**6 for k in range(3**6 + 1)]])
+        values, undefined = evaluate_many(CantorHat(), ts)
+        assert not undefined.any()
+        assert values.tobytes() == np.array([cantor_hat(t) for t in ts.tolist()]).tobytes()
+
+    def test_values_keep_the_shape(self):
+        spec = FunctionSpec.from_node(Power(Var(), 0.5))
+        assert spec.values(np.array([[1.0, 4.0], [9.0, 16.0]])).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_swallowed_domain_error_still_raises(self):
+        # min(1, nan) is 1, so only the tracked mask can tell that pow failed
+        spec = FunctionSpec.from_node(Min(Const(1.0), Power(Difference(Var(), Const(2.0)), 0.5)))
+        assert spec.values(np.array([3.0])).tolist() == [1.0]
+        with pytest.raises(UndefinedValue, match=r"pow\(-1\.0, 0\.5\)"):
+            spec.values(np.array([3.0, 1.0, 0.0]))

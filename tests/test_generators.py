@@ -83,6 +83,11 @@ class TestDplusSpace:
         with pytest.raises(DuplicateValue):
             dplus_space([1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0])
+    def test_values_off_the_half_line_rejected(self, bad):
+        with pytest.raises(NotInDomain, match="finite and >= 0"):
+            dplus_space([1.0, bad])
+
     @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=8, unique=True))
     def test_always_ultrametric(self, values):
         assert is_ultrametric(dplus_space(values))[0]

@@ -13,7 +13,7 @@ from ultrapreserve.matrix_io import (
     space_to_csv,
     space_to_dict,
 )
-from ultrapreserve.spaces import SpaceValidationError, validate_space
+from ultrapreserve.spaces import FiniteSemimetricSpace, SpaceValidationError, validate_space
 
 
 @pytest.fixture
@@ -66,3 +66,11 @@ def test_invalid_document_raises():
         space_from_dict({"labels": ["a"]})
     with pytest.raises(SpaceValidationError):
         space_from_csv("")
+
+
+def test_non_finite_distance_is_not_saved(tmp_path):
+    path = tmp_path / "inf.json"
+    space = FiniteSemimetricSpace(("a", "b"), [[0.0, float("inf")], [float("inf"), 0.0]])
+    with pytest.raises(SpaceValidationError, match="non-finite"):
+        save_space(space, path)
+    assert not path.exists()

@@ -29,6 +29,7 @@ from ultrapreserve.spaces import (
     NonzeroDiagonal,
     NotAmenableOnSpectrum,
     NotSquare,
+    SpaceValidationError,
     TooFewPoints,
     TooLarge,
     TripleViolation,
@@ -137,6 +138,17 @@ class TestValidation:
     def test_non_finite_entry(self):
         with pytest.raises(NonFiniteEntry):
             validate_space([[0, np.nan], [np.nan, 0]])
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[0, 1e999], [1e999, 0]], "entry (0,1) is not finite: inf"),
+        ([[0, 1], [2, 0]], "entry (0,1) = 1.0 but (1,0) = 2.0"),
+        ([[0.5, 1], [1, 0]], "diagonal entry (0,0) = 0.5, expected 0"),
+        ([[0, -1], [-1, 0]], "off-diagonal entry (0,1) = -1.0, expected > 0"),
+    ])
+    def test_messages_print_plain_floats(self, matrix, message):
+        with pytest.raises(SpaceValidationError) as exc:
+            validate_space(matrix)
+        assert str(exc.value) == message
 
     def test_not_square(self):
         with pytest.raises(NotSquare):
