@@ -13,18 +13,17 @@ with fixed degenerate probes always included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .expr import FunctionSpec
 from .properties import (
-    DEFAULT_GRID_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
     InfimumBound,
     PropertyVerdict,
     Status,
+    _first_violation,
     _scan_probes,
     check_amenable,
     check_continuous_at_zero,
@@ -38,6 +37,9 @@ from .properties import (
 # (1, 1, 2) is the canonical flat triangle.
 FIXED_TRIANGLE_TRIPLES = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0))
 FIXED_EQUAL_TRIPLES = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+# A triple check evaluates f at the triple itself (np.asarray is the identity
+# on its rows), and its witness names the triple and then its image.
+_TRIPLE_KEYS = ("p", "q", "l", "f_p", "f_q", "f_l")
 
 _SEED_MIX = 0x9E3779B97F4A7C15  # splitmix64 increment; stable sub-seed derivation
 
@@ -59,22 +61,16 @@ def combine_verdicts(*verdicts: PropertyVerdict) -> PropertyVerdict:
     return PropertyVerdict(Status.HOLDS, None, budget, exact, seed)
 
 
-def classify_ultrametric_preserving(
-    spec: FunctionSpec, grid_budget: int = DEFAULT_GRID_BUDGET
-) -> PropertyVerdict:
+def classify_ultrametric_preserving(spec: FunctionSpec) -> PropertyVerdict:
     """Increasing and amenable — the full criterion for preserving the strong
     triangle inequality on every space."""
-    return combine_verdicts(
-        check_increasing(spec, grid_budget), check_amenable(spec, grid_budget)
-    )
+    return combine_verdicts(check_increasing(spec), check_amenable(spec))
 
 
-def classify_strongly_preserving(
-    spec: FunctionSpec, grid_budget: int = DEFAULT_GRID_BUDGET
-) -> PropertyVerdict:
+def classify_strongly_preserving(spec: FunctionSpec) -> PropertyVerdict:
     """Increasing, amenable, and continuous at 0 — preserves the topology."""
     return combine_verdicts(
-        classify_ultrametric_preserving(spec, grid_budget), check_continuous_at_zero(spec)
+        check_increasing(spec), check_amenable(spec), check_continuous_at_zero(spec)
     )
 
 
@@ -124,18 +120,6 @@ def _sample_two_largest_equal(rng: np.random.Generator, count: int) -> np.ndarra
     return rng.permuted(triples, axis=1)
 
 
-def _triple_violation(spec, check, p, q, l) -> Optional[dict]:
-    fp, fq, fl = spec(p), spec(q), spec(l)
-    if check(fp, fq, fl):
-        return None
-    return {"p": p, "q": q, "l": l, "f_p": fp, "f_q": fq, "f_l": fl}
-
-
-def _image_fails(spec, check, triples: np.ndarray) -> np.ndarray:
-    """Rows of triples whose image under spec breaks check, in one batch."""
-    return ~check(*spec.values(triples).T)
-
-
 # The two predicates take floats or equal-shape arrays (one triple per
 # element); on NaN-free values they decide as Python's max and min would.
 def triangle_triplet_holds(fp, fq, fl):
@@ -153,9 +137,10 @@ def check_triplet_preservation(
     """Does f carry triangle triplets (2*max <= sum) to triangle triplets?"""
     rng = np.random.default_rng(seed)
     sampled = _sample_triangle_triples(rng, samples)
-    violation = partial(_triple_violation, spec, triangle_triplet_holds)
-    fails = partial(_image_fails, spec, triangle_triplet_holds)
-    return _scan_probes(violation, fails, FIXED_TRIANGLE_TRIPLES, sampled, seed)
+    return _scan_probes(
+        spec, np.asarray, triangle_triplet_holds, _TRIPLE_KEYS,
+        FIXED_TRIANGLE_TRIPLES, sampled, seed,
+    )
 
 
 def check_minmax_equation(
@@ -166,9 +151,10 @@ def check_minmax_equation(
     all such triples iff f preserves ultrametrics."""
     rng = np.random.default_rng(seed)
     sampled = _sample_two_largest_equal(rng, samples)
-    violation = partial(_triple_violation, spec, minmax_equation_holds)
-    fails = partial(_image_fails, spec, minmax_equation_holds)
-    return _scan_probes(violation, fails, FIXED_EQUAL_TRIPLES, sampled, seed)
+    return _scan_probes(
+        spec, np.asarray, minmax_equation_holds, _TRIPLE_KEYS,
+        FIXED_EQUAL_TRIPLES, sampled, seed,
+    )
 
 
 def find_minmax_violation(
@@ -185,7 +171,8 @@ def find_minmax_violation(
     increasing = check_increasing(spec)
     if increasing.fails:
         t1, t2 = increasing.witness["t1"], increasing.witness["t2"]
-        return _triple_violation(spec, minmax_equation_holds, t1, t2, t2)
+        triple = np.array([[t1, t2, t2]])
+        return _first_violation(spec, np.asarray, minmax_equation_holds, _TRIPLE_KEYS, triple)
     return None
 
 
@@ -240,16 +227,19 @@ def classification_report(
     spec: FunctionSpec,
     seed: int = 0,
     budget: int = DEFAULT_SAMPLE_BUDGET,
-    grid_budget: int = DEFAULT_GRID_BUDGET,
 ) -> ClassificationReport:
     """Run every classifier with sub-seeds derived from one shared seed and
-    enforce the cross-verdict consistency invariants."""
-    pu = classify_ultrametric_preserving(spec, grid_budget)
-    pt = classify_strongly_preserving(spec, grid_budget)
-    pm = classify_metric_preserving_sufficient(spec, budget, derive_seed(seed, 0))
+    enforce the cross-verdict consistency invariants. Each base property is
+    decided once and the class verdicts are combined from those results."""
+    increasing = check_increasing(spec)
+    amenable = check_amenable(spec)
+    continuous = check_continuous_at_zero(spec)
+    pu = combine_verdicts(increasing, amenable)
+    pt = combine_verdicts(increasing, amenable, continuous)
+    pm = combine_verdicts(increasing, check_subadditive(spec, budget, derive_seed(seed, 0)))
     triplet = check_triplet_preservation(spec, budget, derive_seed(seed, 1))
     minmax = check_minmax_equation(spec, budget, derive_seed(seed, 2))
-    bound = inf_on_positive(spec, grid_budget)
+    bound = inf_on_positive(spec)
     if pt.holds and not pu.holds:
         raise RuntimeError("inconsistent report: topology preserved without structure")
     if pu.holds and bound.exact and bound.estimate == 0.0 and not pt.holds:

@@ -20,6 +20,7 @@ from . import __version__
 from .classify import classification_report
 from .expr import FunctionSpec, FunctionSpecError
 from .generators import (
+    InvalidParameters,
     dplus2_space,
     dplus_space,
     random_ultrametric,
@@ -150,7 +151,7 @@ def cmd_witness(args) -> int:
             cert = witness_not_ultrametric_preserving(spec)
         else:
             cert = witness_not_strongly_preserving(spec, n_levels=args.levels)
-    except (PreconditionFailed, FunctionSpecError) as exc:
+    except (PreconditionFailed, InvalidParameters, FunctionSpecError) as exc:
         return _fail(str(exc))
     if cert is None:
         doc = {"result": "no_witness_found", "function": spec.source, "mode": args.mode}
@@ -228,7 +229,7 @@ def cmd_embed(args) -> int:
                 "points": [[p.s, p.t] for p in points],
                 "levels": list(levels.values),
             }
-    except (NotUltrametric, WrongSize, SpectrumNotEmbeddable) as exc:
+    except (NotUltrametric, WrongSize, SpectrumNotEmbeddable, InvalidParameters) as exc:
         return _fail(str(exc))
     doc["isometric"] = True  # embeddings verify internally before returning
     return _emit(doc, args)

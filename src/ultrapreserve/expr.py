@@ -115,10 +115,11 @@ class Piece:
     closed_upper: bool
     expr: "Node"
 
-    def contains(self, t: float) -> bool:
+    def contains(self, t):
+        """Membership of a float, or elementwise of an array of floats."""
         lo_ok = t >= self.lower if self.closed_lower else t > self.lower
         hi_ok = t <= self.upper if self.closed_upper else t < self.upper
-        return lo_ok and hi_ok
+        return lo_ok & hi_ok
 
     def is_empty(self) -> bool:
         if self.lower > self.upper:
@@ -324,9 +325,7 @@ def evaluate_many(node: Node, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values = np.full(ts.shape, math.nan)
         undefined = np.ones(ts.shape, dtype=bool)
         for piece in node.pieces:
-            lo_ok = ts >= piece.lower if piece.closed_lower else ts > piece.lower
-            hi_ok = ts <= piece.upper if piece.closed_upper else ts < piece.upper
-            idx = np.flatnonzero(lo_ok & hi_ok)
+            idx = np.flatnonzero(piece.contains(ts))
             if idx.size:
                 values[idx], undefined[idx] = evaluate_many(piece.expr, ts[idx])
         return values, undefined

@@ -46,6 +46,8 @@ class UniversalPoint:
     def __post_init__(self):
         if min(self.s, self.t) != 0 or self.s < 0 or self.t < 0:
             raise NotInDomain(f"({self.s}, {self.t}) needs a zero coordinate")
+        if not math.isfinite(max(self.s, self.t)):
+            raise NotInDomain(f"({self.s}, {self.t}) needs finite coordinates")
 
     def label(self) -> str:
         return f"({repr(self.s)},{repr(self.t)})"
@@ -177,8 +179,8 @@ def tbu_noncompact_truncation(
 
 def triangle_equilateral(c: float) -> FiniteSemimetricSpace:
     """3-point space with all sides c."""
-    if not c > 0:
-        raise InvalidParameters(f"side must be positive, got {c!r}")
+    if not 0 < c < math.inf:
+        raise InvalidParameters(f"side must be positive and finite, got {c!r}")
     d = np.array([[0.0, c, c], [c, 0.0, c], [c, c, 0.0]])
     return FiniteSemimetricSpace(("x1", "x2", "x3"), d)
 
@@ -189,7 +191,7 @@ def triangle_isosceles(c1: float, c2: float) -> FiniteSemimetricSpace:
     Requires 0 < c1 <= c2: the two largest sides are equal, so the space is
     ultrametric.
     """
-    if not (0 < c1 <= c2):
-        raise InvalidParameters(f"need 0 < c1 <= c2, got ({c1!r}, {c2!r})")
+    if not (0 < c1 <= c2 < math.inf):
+        raise InvalidParameters(f"need 0 < c1 <= c2 < inf, got ({c1!r}, {c2!r})")
     d = np.array([[0.0, c2, c1], [c2, 0.0, c2], [c1, c2, 0.0]])
     return FiniteSemimetricSpace(("x1", "x2", "x3"), d)

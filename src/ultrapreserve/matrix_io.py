@@ -15,7 +15,9 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
-from .spaces import FiniteSemimetricSpace, SpaceValidationError, validate_space
+import numpy as np
+
+from .spaces import FiniteSemimetricSpace, NonFiniteEntry, SpaceValidationError, validate_space
 
 
 def space_to_dict(space: FiniteSemimetricSpace, provenance: Optional[dict] = None) -> dict:
@@ -38,6 +40,12 @@ def space_from_dict(doc: dict) -> FiniteSemimetricSpace:
 
 
 def space_to_csv(space: FiniteSemimetricSpace) -> str:
+    """CSV text of a space whose entries are all finite; a non-finite entry
+    raises NonFiniteEntry, as reading the text back would."""
+    bad = np.argwhere(~np.isfinite(space.dist))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise NonFiniteEntry(i, j, space.dist[i, j])
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(space.labels)

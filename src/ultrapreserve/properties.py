@@ -21,16 +21,19 @@ import numpy as np
 
 from .expr import (
     FunctionSpec,
+    Piecewise,
     breakpoints,
+    evaluate,
     limit_at_infinity,
     monotone_certified,
     positive_certified,
     right_limit_at_zero,
 )
 
-DEFAULT_GRID_BUDGET = 241  # log grid over (2**-60, 2**60), half-integer exponents
+PROBE_GRID = 2.0 ** np.linspace(-60.0, 60.0, 241)  # half-integer exponents
 DEFAULT_SAMPLE_BUDGET = 4096
 BREAKPOINT_OFFSET = 2.0**-40
+DIVERGENCE_PROBES = np.ldexp(1.0, np.arange(1, 61))  # 2**1 .. 2**60
 DIVERGENCE_BOUND = 2.0**30
 
 
@@ -77,16 +80,9 @@ class InfimumBound:
         return {"estimate": self.estimate, "exact": self.exact}
 
 
-def log_probe_grid(budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
-    """Log-spaced probes over (2**-60, 2**60)."""
-    if budget < 2:
-        return np.array([1.0])
-    return 2.0 ** np.linspace(-60.0, 60.0, budget)
-
-
-def probe_points(spec: FunctionSpec, budget: int, include_zero: bool = False) -> np.ndarray:
-    """Sorted probe set: log grid plus piece breakpoints +- 2**-40."""
-    pts = set(float(x) for x in log_probe_grid(budget))
+def probe_points(spec: FunctionSpec, include_zero: bool = False) -> np.ndarray:
+    """Sorted probe set: PROBE_GRID plus piece breakpoints +- 2**-40."""
+    pts = set(PROBE_GRID.tolist())
     for b in breakpoints(spec.root):
         for candidate in (b - BREAKPOINT_OFFSET, b, b + BREAKPOINT_OFFSET):
             if candidate > 0 and math.isfinite(candidate):
@@ -96,7 +92,7 @@ def probe_points(spec: FunctionSpec, budget: int, include_zero: bool = False) ->
     return np.array(sorted(pts))
 
 
-def check_amenable(spec: FunctionSpec, budget: int = DEFAULT_GRID_BUDGET) -> PropertyVerdict:
+def check_amenable(spec: FunctionSpec) -> PropertyVerdict:
     """f(0) = 0 and f > 0 on (0, inf)."""
     f0 = spec(0.0)
     if f0 != 0.0:
@@ -104,74 +100,89 @@ def check_amenable(spec: FunctionSpec, budget: int = DEFAULT_GRID_BUDGET) -> Pro
         return PropertyVerdict(Status.FAILS, witness, 1, exact=True)
     if positive_certified(spec.root):
         return PropertyVerdict(Status.HOLDS, None, 1, exact=True)
-    grid = probe_points(spec, budget)
-    used = 1
-    for t in grid:
-        used += 1
-        ft = spec(float(t))
-        if ft <= 0.0:
-            witness = {"t": float(t), "f_t": ft}
-            return PropertyVerdict(Status.FAILS, witness, used, exact=True)
-    return PropertyVerdict(Status.HOLDS, None, used, exact=False)
+    grid = probe_points(spec)
+    values = spec.values(grid)
+    zeros = np.flatnonzero(values <= 0.0)
+    if zeros.size:
+        k = zeros[0]
+        witness = {"t": float(grid[k]), "f_t": float(values[k])}
+        # the budget counts f(0) and the grid points up to the witness
+        return PropertyVerdict(Status.FAILS, witness, int(k) + 2, exact=True)
+    return PropertyVerdict(Status.HOLDS, None, len(grid) + 1, exact=False)
 
 
-def check_increasing(spec: FunctionSpec, budget: int = DEFAULT_GRID_BUDGET) -> PropertyVerdict:
+def check_increasing(spec: FunctionSpec) -> PropertyVerdict:
     """Monotone nondecreasing on [0, inf) ("increasing" in the weak sense)."""
     if monotone_certified(spec.root):
         return PropertyVerdict(Status.HOLDS, None, 0, exact=True)
-    grid = probe_points(spec, budget, include_zero=True)
-    values = spec.values(grid).tolist()
-    for k in range(len(grid) - 1):
-        if values[k] > values[k + 1]:
-            witness = {
-                "t1": float(grid[k]),
-                "f_t1": values[k],
-                "t2": float(grid[k + 1]),
-                "f_t2": values[k + 1],
-            }
-            return PropertyVerdict(Status.FAILS, witness, len(grid), exact=True)
+    grid = probe_points(spec, include_zero=True)
+    values = spec.values(grid)
+    drops = np.flatnonzero(values[:-1] > values[1:])
+    if drops.size:
+        k = drops[0]
+        witness = {
+            "t1": float(grid[k]),
+            "f_t1": float(values[k]),
+            "t2": float(grid[k + 1]),
+            "f_t2": float(values[k + 1]),
+        }
+        return PropertyVerdict(Status.FAILS, witness, len(grid), exact=True)
     return PropertyVerdict(Status.HOLDS, None, len(grid), exact=False)
 
 
-def _scan_probes(violation, fails, fixed, sampled: np.ndarray, seed: int) -> PropertyVerdict:
-    """Fixed probes in order, then the lexicographically smallest sampled
-    violation. `violation(*probe)` returns a witness dict or None, and
-    `fails(sampled)` marks the violating rows of the sampled array in one
-    batch; the witness of the smallest such row comes from `violation`."""
+def _first_violation(spec: FunctionSpec, points, holds, keys, rows: np.ndarray) -> Optional[dict]:
+    """Witness for the lexicographically smallest row of the 2-d array rows
+    whose image breaks holds, or None. `points(rows)` gives the points to
+    evaluate, one row each, and one `spec.values` call evaluates them all;
+    the witness zips keys with the row followed by its image."""
+    image = spec.values(points(rows))
+    bad = ~holds(*image.T)
+    if not bad.any():
+        return None
+    rows, image = rows[bad], image[bad]
+    k = np.lexsort(rows.T[::-1])[0]  # lexsort's primary key is its last
+    return dict(zip(keys, rows[k].tolist() + image[k].tolist()))
+
+
+def _scan_probes(
+    spec: FunctionSpec, points, holds, keys, fixed, sampled: np.ndarray, seed: int
+) -> PropertyVerdict:
+    """Fixed probes one row at a time, in order, then the lexicographically
+    smallest violating row of the sampled array in one batch."""
     for used, probe in enumerate(fixed, 1):
-        w = violation(*probe)
+        w = _first_violation(spec, points, holds, keys, np.array([probe], dtype=float))
         if w is not None:
             return PropertyVerdict(Status.FAILS, w, used, exact=True, seed=seed)
     used = len(fixed) + len(sampled)
-    bad = sampled[fails(sampled)]
-    if not len(bad):
+    w = _first_violation(spec, points, holds, keys, sampled)
+    if w is None:
         return PropertyVerdict(Status.HOLDS, None, used, exact=False, seed=seed)
-    first = bad[np.lexsort(bad.T[::-1])[0]]  # lexsort's primary key is its last
-    return PropertyVerdict(Status.FAILS, violation(*first.tolist()), used, exact=True, seed=seed)
+    return PropertyVerdict(Status.FAILS, w, used, exact=True, seed=seed)
 
 
 _SUBADDITIVE_FIXED_PAIRS = ((0.0, 0.0), (1.0, 1.0))
+_SUBADDITIVE_KEYS = ("x", "y", "f_x", "f_y", "f_sum")
+
+
+def _pair_points(pairs: np.ndarray) -> np.ndarray:
+    x, y = pairs.T
+    return np.column_stack([x, y, x + y])
+
+
+def _subadditive_holds(fx, fy, fs):
+    return ~(fs > fx + fy)  # an undefined sum (inf - inf) is no violation
 
 
 def check_subadditive(
     spec: FunctionSpec, budget: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0
 ) -> PropertyVerdict:
     """f(x+y) <= f(x) + f(y) on fixed probes plus seeded log-uniform pairs."""
-
-    def violation(x: float, y: float) -> Optional[dict]:
-        fx, fy, fs = spec(x), spec(y), spec(x + y)
-        if fs > fx + fy:
-            return {"x": x, "y": y, "f_x": fx, "f_y": fy, "f_sum": fs}
-        return None
-
-    def fails(pairs: np.ndarray) -> np.ndarray:
-        x, y = pairs.T
-        fx, fy, fs = spec.values(np.column_stack([x, y, x + y])).T
-        return fs > fx + fy
-
     rng = np.random.default_rng(seed)
     pairs = 2.0 ** rng.uniform(-30.0, 30.0, size=(budget, 2))
-    return _scan_probes(violation, fails, _SUBADDITIVE_FIXED_PAIRS, pairs, seed)
+    return _scan_probes(
+        spec, _pair_points, _subadditive_holds, _SUBADDITIVE_KEYS,
+        _SUBADDITIVE_FIXED_PAIRS, pairs, seed,
+    )
 
 
 def check_continuous_at_zero(spec: FunctionSpec) -> PropertyVerdict:
@@ -190,7 +201,7 @@ def check_continuous_at_zero(spec: FunctionSpec) -> PropertyVerdict:
     return PropertyVerdict(Status.FAILS, witness, 2, exact=True)
 
 
-def check_diverges_at_infinity(spec: FunctionSpec, budget: int = 60) -> PropertyVerdict:
+def check_diverges_at_infinity(spec: FunctionSpec) -> PropertyVerdict:
     """lim_{t -> inf} f(t) = +inf (probe of the conjectured growth condition)."""
     limit = limit_at_infinity(spec.root)
     if limit is not None:
@@ -199,13 +210,13 @@ def check_diverges_at_infinity(spec: FunctionSpec, budget: int = 60) -> Property
         t = 2.0**60
         witness = {"t": t, "f_t": spec(t), "limit_at_inf": limit}
         return PropertyVerdict(Status.FAILS, witness, 1, exact=True)
-    values = [spec(2.0**k) for k in range(1, budget + 1)]
+    values = spec.values(DIVERGENCE_PROBES)
     if values[-1] > DIVERGENCE_BOUND:
         return PropertyVerdict(Status.HOLDS, None, len(values), exact=False)
     return PropertyVerdict(Status.UNDETERMINED, None, len(values), exact=False)
 
 
-def inf_on_positive(spec: FunctionSpec, budget: int = DEFAULT_GRID_BUDGET) -> InfimumBound:
+def inf_on_positive(spec: FunctionSpec) -> InfimumBound:
     """Infimum of f over (0, inf); exact when a structural argument applies.
 
     For a nondecreasing tree the infimum is the right limit at 0; a piecewise
@@ -215,14 +226,11 @@ def inf_on_positive(spec: FunctionSpec, budget: int = DEFAULT_GRID_BUDGET) -> In
     exact = _symbolic_inf(spec.root)
     if exact is not None:
         return InfimumBound(exact, True)
-    grid = probe_points(spec, budget)
-    estimate = min(spec.values(grid).tolist())
+    estimate = min(spec.values(probe_points(spec)).tolist())
     return InfimumBound(estimate, False)
 
 
 def _symbolic_inf(node) -> Optional[float]:
-    from .expr import Piecewise
-
     if isinstance(node, Piecewise):
         values = []
         for p in node.pieces:
@@ -236,8 +244,6 @@ def _symbolic_inf(node) -> Optional[float]:
             else:
                 # piece expressions are continuous on (0, inf), so the value
                 # at the left endpoint is the infimum over the piece either way
-                from .expr import evaluate
-
                 values.append(evaluate(p.expr, at))
         return min(values) if values else None
     if monotone_certified(node):

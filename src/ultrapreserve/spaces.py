@@ -47,6 +47,7 @@ class NonzeroDiagonal(SpaceValidationError):
     def __init__(self, i, value):
         super().__init__(f"diagonal entry ({i},{i}) = {float(value)!r}, expected 0")
         self.indices = (i, i)
+        self.value = value
 
 
 class NonpositiveOffDiagonal(SpaceValidationError):

@@ -1,9 +1,10 @@
 """Counterexample synthesis and three-point universal embeddings.
 
 A transform that fails to preserve ultrametrics already fails on a three-point
-space, and the failure is always one of two shapes: a planted zero (an
-equilateral triangle whose image loses positivity) or an inversion (an
-isosceles triangle whose image breaks the strong triangle inequality). A
+space, and the failure is always one of three shapes: a planted zero (an
+equilateral triangle whose image loses positivity), an inversion (an
+isosceles triangle whose image breaks the strong triangle inequality) or a
+nonzero f(0) (an equilateral triangle whose image has a nonzero diagonal). A
 transform that preserves ultrametrics but not the topology is bounded away
 from zero on (0, inf); pushing the geometric level family through it makes
 the covering number at a fixed scale grow linearly with the truncation size
@@ -13,10 +14,11 @@ matrices and re-verify exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
+
+import numpy as np
 
 from .classify import classify_ultrametric_preserving
 from .expr import FunctionSpec
@@ -30,10 +32,11 @@ from .generators import (
     triangle_isosceles,
 )
 from .matrix_io import space_to_dict
-from .properties import DEFAULT_GRID_BUDGET, inf_on_positive, probe_points
+from .properties import inf_on_positive, probe_points
 from .spaces import (
     FiniteSemimetricSpace,
     NonpositiveOffDiagonal,
+    NonzeroDiagonal,
     PositivityViolation,
     TripleViolation,
     are_isometric_small,
@@ -64,7 +67,8 @@ class SpectrumNotEmbeddable(ValueError):
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    kind: str  # "equilateral_zero" | "isosceles_inversion" | "covering_divergence"
+    # "equilateral_zero" | "isosceles_inversion" | "nonzero_diagonal" | "covering_divergence"
+    kind: str
     function: str
     space_before: FiniteSemimetricSpace
     space_after: FiniteSemimetricSpace
@@ -95,36 +99,31 @@ def witness_not_ultrametric_preserving(spec: FunctionSpec) -> Optional[WitnessCe
 
     Zeros first (smallest c with f(c) <= 0 wins), then the lexicographically
     first inversion (c1, c2): the smallest c1 with a later, smaller value,
-    paired with the first such c2. Returns None when the grid holds neither.
+    paired with the first such c2. When the grid holds neither, a nonzero
+    f(0) still breaks the image: it lands on the diagonal. Returns None when
+    f(0) = 0 as well.
     """
-    grid = [float(c) for c in probe_points(spec, DEFAULT_GRID_BUDGET)]
-    values = [spec(c) for c in grid]
+    grid = probe_points(spec)
+    values = spec.values(grid)
 
-    for c, fc in zip(grid, values):
-        if fc <= 0.0:
-            before = triangle_equilateral(c)
-            after = FiniteSemimetricSpace(
-                before.labels, [[0.0, fc, fc], [fc, 0.0, fc], [fc, fc, 0.0]]
-            )
-            violation = PositivityViolation(0, 1, fc)
-            return WitnessCertificate(
-                kind="equilateral_zero",
-                function=spec.source,
-                space_before=before,
-                space_after=after,
-                violation=violation,
-                parameters={"c": c},
-            )
+    zeros = np.flatnonzero(values <= 0.0)
+    if zeros.size:
+        c, fc = float(grid[zeros[0]]), float(values[zeros[0]])
+        violation = PositivityViolation(0, 1, fc)
+        return _equilateral_image(spec, "equilateral_zero", c, 0.0, fc, violation)
 
-    i, low = None, math.inf
-    for k in range(len(values) - 1, -1, -1):  # right to left: low is the suffix minimum
-        if values[k] > low:
-            i = k
-        low = min(low, values[k])
-    if i is None:
-        return None
-    j = next(j for j in range(i + 1, len(values)) if values[j] < values[i])
-    c1, c2, f1, f2 = grid[i], grid[j], values[i], values[j]
+    suffix_min = np.minimum.accumulate(values[::-1])[::-1]  # min(values[k:])
+    inverted = np.flatnonzero(values[:-1] > suffix_min[1:])
+    if not inverted.size:
+        f0 = spec(0.0)
+        if f0 == 0.0:
+            return None
+        # 1 is a grid point, so f(1) > 0 and only the diagonal breaks
+        violation = {"type": "nonzero_diagonal", "indices": [0, 0], "value": f0}
+        return _equilateral_image(spec, "nonzero_diagonal", 1.0, f0, spec(1.0), violation)
+    i = inverted[0]
+    j = i + 1 + np.flatnonzero(values[i + 1:] < values[i])[0]
+    c1, c2, f1, f2 = float(grid[i]), float(grid[j]), float(values[i]), float(values[j])
     before = triangle_isosceles(c1, c2)
     after = FiniteSemimetricSpace(
         before.labels, [[0.0, f2, f1], [f2, 0.0, f2], [f1, f2, 0.0]]
@@ -139,6 +138,23 @@ def witness_not_ultrametric_preserving(spec: FunctionSpec) -> Optional[WitnessCe
         space_after=after,
         violation=violation,
         parameters={"c1": c1, "c2": c2},
+    )
+
+
+def _equilateral_image(spec, kind, c, diagonal, side, violation) -> WitnessCertificate:
+    """Certificate mapping the equilateral triangle of side c to the matrix
+    with `diagonal` on the diagonal and `side` off it."""
+    before = triangle_equilateral(c)
+    after = FiniteSemimetricSpace(
+        before.labels, [[diagonal, side, side], [side, diagonal, side], [side, side, diagonal]]
+    )
+    return WitnessCertificate(
+        kind=kind,
+        function=spec.source,
+        space_before=before,
+        space_after=after,
+        violation=violation,
+        parameters={"c": c},
     )
 
 
@@ -200,6 +216,13 @@ def verify_certificate(cert: WitnessCertificate) -> bool:
         except NonpositiveOffDiagonal as exc:
             v = cert.violation
             return exc.indices == (v.i, v.j) and exc.value == v.value
+        return False
+    if cert.kind == "nonzero_diagonal":
+        try:
+            validate_space(cert.space_after.dist, cert.space_after.labels)
+        except NonzeroDiagonal as exc:
+            v = cert.violation
+            return list(exc.indices) == v["indices"] and exc.value == v["value"]
         return False
     if cert.kind == "isosceles_inversion":
         ok, violation = is_ultrametric(cert.space_after)

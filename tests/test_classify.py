@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultrapreserve import classify
 from ultrapreserve.classify import (
     _sample_triangle_triples,
     check_minmax_equation,
@@ -176,6 +177,20 @@ class TestReport:
         a = classification_report(spec("cantor_hat(t)"), seed=5, budget=256)
         b = classification_report(spec("cantor_hat(t)"), seed=5, budget=256)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("text", ["t", INVERSION, "t - t", "step_above(1)"])
+    def test_each_base_property_is_decided_once(self, monkeypatch, text):
+        calls = {}
+        for name in ("check_increasing", "check_amenable", "check_continuous_at_zero"):
+            def counted(*args, _check=getattr(classify, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(classify, name, counted)
+        classification_report(spec(text), seed=0, budget=64)
+        assert calls == {
+            "check_increasing": 1, "check_amenable": 1, "check_continuous_at_zero": 1,
+        }
 
 
 class TestConsistencyInvariants:

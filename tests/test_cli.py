@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +220,15 @@ class TestSuiteCommand:
         code, _ = run(capsys, "suite", "--trials", "0")
         assert code == 1
 
+    def test_seed_zero_summary_matches_golden(self, capsys, tmp_path):
+        """The default `suite --seed 0` summary, byte for byte as captured at
+        commit 2b86ab0."""
+        path = tmp_path / "summary.json"
+        code, _ = run(capsys, "suite", "--seed", "0", "--out", str(path))
+        assert code == 0
+        golden = Path(__file__).parent / "golden" / "suite_seed0.json"
+        assert path.read_bytes() == golden.read_bytes()
+
 
 class TestUndefinedValues:
     """Specs without a real value somewhere on (0, inf) end in a clean exit 1."""
@@ -286,11 +296,38 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert captured.err == "error: values must be finite and >= 0, got inf\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "equilateral", "--side", "inf"],
+        ["generate", "isosceles", "--c1", "1", "--c2", "inf"],
+        ["generate", "dplus2", "--points", "0,inf", "1,0"],
+    ])
+    def test_generators_reject_infinite_parameters_in_csv(self, capsys, argv):
+        assert main([*argv, "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_verify_names_the_entry_as_a_plain_float(self, capsys, tmp_path):
         path = tmp_path / "inf.json"
         path.write_text('{"labels": ["a", "b"], "dist": [[0, 1e999], [1e999, 0]]}')
         assert main(["verify", str(path)]) == 1
         assert capsys.readouterr().err == "error: entry (0,1) is not finite: inf\n"
+
+
+class TestOutOfRangeParameters:
+    """Out-of-range parameters end in a clean exit 1, not a traceback."""
+
+    # 1075 levels: 0.5**1075 underflows to 0, which the level check rejects
+    # before any matrix is built
+    @pytest.mark.parametrize("levels", ["2", "1075"])
+    def test_witness_levels(self, capsys, levels):
+        assert main(["witness", "step_above(1)", "--mode", "pt", "--levels", levels]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_embed_tbu_ratio(self, capsys, matrix_122):
+        assert main(["embed", matrix_122, "--family", "tbu", "--ratio", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 class TestUsage:

@@ -276,6 +276,16 @@ _NAN = Difference(Const(math.inf), Const(math.inf))
 _NEGATIVE_ZERO = Product(Const(0.0), Difference(Var(), Const(2.0)))  # -0.0 for t < 2
 
 
+@pytest.mark.parametrize("closed_lower", [True, False])
+@pytest.mark.parametrize("closed_upper", [True, False])
+def test_piece_contains_floats_and_arrays_alike(closed_lower, closed_upper):
+    piece = Piece(1.0, 2.0, closed_lower, closed_upper, Var())
+    ts = [0.0, 1.0, 1.5, 2.0, 3.0, math.nan]
+    expected = [False, closed_lower, True, closed_upper, False, False]
+    assert [piece.contains(t) for t in ts] == expected
+    assert piece.contains(np.array(ts)).tolist() == expected
+
+
 class TestEvaluateMany:
     @settings(max_examples=300)
     @given(_trees, _PROBES)

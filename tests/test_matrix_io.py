@@ -74,3 +74,11 @@ def test_non_finite_distance_is_not_saved(tmp_path):
     with pytest.raises(SpaceValidationError, match="non-finite"):
         save_space(space, path)
     assert not path.exists()
+
+
+def test_non_finite_distance_is_not_saved_as_csv(tmp_path):
+    path = tmp_path / "inf.csv"
+    space = FiniteSemimetricSpace(("a", "b"), [[0.0, float("inf")], [float("inf"), 0.0]])
+    with pytest.raises(SpaceValidationError, match=r"entry \(0,1\) is not finite: inf"):
+        save_space(space, path, fmt="csv")
+    assert not path.exists()

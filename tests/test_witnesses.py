@@ -1,9 +1,14 @@
 """Counterexample certificates and three-point universal embeddings."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultrapreserve.classify import classify_ultrametric_preserving
+from ultrapreserve.cli import main
 from ultrapreserve.generators import (
     dplus2_space,
     random_ultrametric,
@@ -44,6 +49,11 @@ AGREEMENT_SPECS = [
     *inversion_family(),
     *preserving_pool(),
     spec("max(0, t - 2.842170943040401e-14)"),  # vanishes only on [0, 2**-45]
+    # f(0) != 0 on specs increasing and positive on the grid
+    spec("t + 1"),
+    spec("1"),
+    spec("pow(t, 0)"),
+    spec("step_above(1) + t + 0.5"),
 ]
 
 
@@ -53,6 +63,24 @@ def test_classify_and_witness_agree(f):
     assert classify_ultrametric_preserving(f).fails == (
         witness_not_ultrametric_preserving(f) is not None
     )
+
+
+GOLDEN = Path(__file__).parent / "golden" / "witness_seed0.json"
+
+
+class TestGoldenWitnesses:
+    """`witness --mode pu` on the specs of the classify golden, the zero
+    family and the preserving pool, plus `--mode pt` on two step functions,
+    byte for byte as captured at commit 2b86ab0."""
+
+    golden = json.loads(GOLDEN.read_text())
+
+    @pytest.mark.parametrize("entry", golden, ids=lambda e: f"{e['mode']}:{e['function']}")
+    def test_stdout_and_exit_code(self, capsys, entry):
+        code = main(["witness", entry["function"], "--mode", entry["mode"]])
+        captured = capsys.readouterr()
+        assert code == entry["exit_code"] and captured.err == ""
+        assert captured.out == json.dumps(entry["output"], indent=2) + "\n"
 
 
 class TestNotUltrametricPreserving:
@@ -95,6 +123,21 @@ class TestNotUltrametricPreserving:
             assert verify_certificate(cert)
         for f in preserving_pool():
             assert witness_not_ultrametric_preserving(f) is None
+
+    def test_nonzero_value_at_zero_lands_on_the_diagonal(self):
+        cert = witness_not_ultrametric_preserving(spec("t + 1"))
+        assert cert.kind == "nonzero_diagonal"
+        assert cert.space_before == triangle_equilateral(1.0)
+        assert cert.space_after.dist.tolist() == [[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]]
+        assert cert.violation == {"type": "nonzero_diagonal", "indices": [0, 0], "value": 1.0}
+        assert verify_certificate(cert)
+
+    def test_forged_nonzero_diagonal_is_rejected(self):
+        cert = witness_not_ultrametric_preserving(spec("t + 1"))
+        forged = dataclasses.replace(cert, violation={**cert.violation, "value": 2.0})
+        assert not verify_certificate(forged)
+        zero = dataclasses.replace(cert, space_after=cert.space_before)
+        assert not verify_certificate(zero)
 
     def test_certificate_serializes(self):
         import json
