@@ -30,6 +30,7 @@ from .properties import (
     check_increasing,
     check_subadditive,
     inf_on_positive,
+    log_uniform,
 )
 
 # Fixed probes prepended to every sampled triple check; the degenerate
@@ -84,40 +85,22 @@ def classify_metric_preserving_sufficient(
     )
 
 
-# Over the reals 2*max <= sum forces the two largest of three exponents of 2
-# to lie within 1 of each other; the slack covers rounding in 2.0 ** e and
-# in the sum, which is of order 2**-50.
-_EXPONENT_GAP = 1.0 + 2.0**-20
-
-
 def _sample_triangle_triples(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Triples (p, q, l) with 2*max <= sum, by rejection over log-uniform
-    draws. Only rows whose two largest exponents lie within _EXPONENT_GAP are
-    raised to powers of 2 and tested exactly, which accepts the same rows as
-    testing every row."""
-    rows = [np.empty((0, 3))]
-    have = 0
-    while have < count:
-        exponents = rng.uniform(-30.0, 30.0, size=(max(count, 1024), 3))
-        a, b, c = exponents.T
-        low, high = np.minimum(a, b), np.maximum(a, b)
-        gap = np.maximum(high, c) - np.maximum(low, np.minimum(high, c))
-        batch = 2.0 ** exponents[gap <= _EXPONENT_GAP]
-        good = batch[triangle_triplet_holds(*batch.T)]
-        rows.append(good)
-        have += len(good)
-    return np.concatenate(rows)[:count]
+    """Sorted triples a <= b <= c with 2*c <= a + b + c, drawn directly: b
+    log-uniform, a = b*v and c = b + a*u for v, u ~ U[0, 1). Rounding is
+    monotone, so c <= fl(a + b) and the predicate's sum fl(fl(a + b) + c) is
+    >= 2*c on every row; a permuted row sums in another order and can fail."""
+    b = log_uniform(rng, count)
+    a = b * rng.uniform(size=count)
+    return np.column_stack([a, b, b + a * rng.uniform(size=count)])
 
 
 def _sample_two_largest_equal(rng: np.random.Generator, count: int) -> np.ndarray:
     """Triples whose two largest entries agree, generated directly: the
     constraint set is thin near degenerate triples and rejection covers it
     poorly, so (a, b, b) with a <= b is drawn and then permuted."""
-    pairs = 2.0 ** rng.uniform(-30.0, 30.0, size=(count, 2))
-    a = pairs.min(axis=1)
-    b = pairs.max(axis=1)
-    triples = np.column_stack([a, b, b])
-    return rng.permuted(triples, axis=1)
+    a, b = np.sort(log_uniform(rng, (count, 2)), axis=1).T
+    return rng.permuted(np.column_stack([a, b, b]), axis=1)
 
 
 # The two predicates take floats or equal-shape arrays (one triple per

@@ -134,9 +134,11 @@ def _first_violation(spec: FunctionSpec, points, holds, keys, rows: np.ndarray) 
     """Witness for the lexicographically smallest row of the 2-d array rows
     whose image breaks holds, or None. `points(rows)` gives the points to
     evaluate, one row each, and one `spec.values` call evaluates them all;
-    the witness zips keys with the row followed by its image."""
+    the witness zips keys with the row followed by its image. An image sum
+    that overflows to inf decides as inf, without a numpy warning."""
     image = spec.values(points(rows))
-    bad = ~holds(*image.T)
+    with np.errstate(all="ignore"):
+        bad = ~holds(*image.T)
     if not bad.any():
         return None
     rows, image = rows[bad], image[bad]
@@ -160,6 +162,11 @@ def _scan_probes(
     return PropertyVerdict(Status.FAILS, w, used, exact=True, seed=seed)
 
 
+def log_uniform(rng: np.random.Generator, size) -> np.ndarray:
+    """Log-uniform magnitudes 2**U(-30, 30), the scale of every sampled probe."""
+    return 2.0 ** rng.uniform(-30.0, 30.0, size=size)
+
+
 _SUBADDITIVE_FIXED_PAIRS = ((0.0, 0.0), (1.0, 1.0))
 _SUBADDITIVE_KEYS = ("x", "y", "f_x", "f_y", "f_sum")
 
@@ -178,7 +185,7 @@ def check_subadditive(
 ) -> PropertyVerdict:
     """f(x+y) <= f(x) + f(y) on fixed probes plus seeded log-uniform pairs."""
     rng = np.random.default_rng(seed)
-    pairs = 2.0 ** rng.uniform(-30.0, 30.0, size=(budget, 2))
+    pairs = log_uniform(rng, (budget, 2))
     return _scan_probes(
         spec, _pair_points, _subadditive_holds, _SUBADDITIVE_KEYS,
         _SUBADDITIVE_FIXED_PAIRS, pairs, seed,

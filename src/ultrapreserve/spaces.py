@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import FunctionSpec
+from .expr import FunctionSpec, evaluate_many
 
 ISOMETRY_MAX_POINTS = 8  # 8! = 40320 permutations keeps exhaustive search trivial
 BRUTE_NET_MAX_POINTS = 12
@@ -218,21 +218,21 @@ def min_positive_distance(space: FiniteSemimetricSpace) -> float:
 def apply_function(space: FiniteSemimetricSpace, f: FunctionSpec) -> FiniteSemimetricSpace:
     """Entrywise image f(d); requires f amenable on the spectrum of d.
 
-    Distances are mapped through a value table built from the spectrum, so
-    equal inputs always produce bit-equal outputs.
+    The spectrum is evaluated in one batch, so equal inputs produce bit-equal
+    outputs; the smallest value where f fails raises as a scalar scan would.
     """
     f0 = f(0.0)
     if f0 != 0.0:
         raise NotAmenableOnSpectrum(0.0, f0)
-    table = {}
-    for v in distance_spectrum(space):
-        fv = f(v)
-        if not (fv > 0.0) or not np.isfinite(fv):
-            raise NotAmenableOnSpectrum(v, fv)
-        table[v] = fv
+    iu = np.triu_indices(len(space), 1)
+    spectrum, inverse = np.unique(space.dist[iu], return_inverse=True)
+    image, undefined = evaluate_many(f.root, spectrum)
+    bad = undefined | ~(image > 0.0) | ~np.isfinite(image) | (spectrum < 0.0)
+    if bad.any():
+        v = float(spectrum[bad.argmax()])
+        raise NotAmenableOnSpectrum(v, f(v))
     out = np.zeros_like(space.dist)
-    for v, fv in table.items():
-        out[space.dist == v] = fv
+    out[iu] = out.T[iu] = image[inverse]
     return FiniteSemimetricSpace(space.labels, out)
 
 

@@ -23,12 +23,12 @@ from .classify import (
     minmax_equation_holds,
 )
 from .expr import FunctionSpec, cantor_hat
+# dplus2_space is unused here but stays importable (perfbench's tracer test)
 from .generators import dplus2_space, random_ultrametric, snapped_levels, triangle_equilateral
 from .parser import parse_function_spec
 from .properties import check_subadditive
 from .spaces import (
     apply_function,
-    are_isometric_small,
     covering_number,
     is_ultrametric,
     minimum_covering_number,
@@ -248,7 +248,8 @@ def covering_divergence(level_counts: tuple[int, ...] = (4, 8, 16, 32)) -> Crite
 
 def universal_embedding(trials: int = 1000, seed: int = 0) -> CriterionResult:
     """Random 3-point ultrametric spaces (both spectrum shapes) embed with
-    exact isometry verification."""
+    exact isometry verification; the embedding runs that check itself and
+    raises RuntimeError when it fails."""
     rng = np.random.default_rng(seed)
     failures = 0
     for trial in range(trials):
@@ -257,9 +258,9 @@ def universal_embedding(trials: int = 1000, seed: int = 0) -> CriterionResult:
             space = triangle_equilateral(side)
         else:
             space = random_ultrametric(3, int(rng.integers(2**63)))
-        points = embed_three_point_universal(space)
-        ok, _ = are_isometric_small(space, dplus2_space(points))
-        if not ok:
+        try:
+            embed_three_point_universal(space)
+        except RuntimeError:
             failures += 1
     return CriterionResult(
         "universal_embedding",

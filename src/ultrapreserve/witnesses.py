@@ -118,9 +118,13 @@ def witness_not_ultrametric_preserving(spec: FunctionSpec) -> Optional[WitnessCe
         f0 = spec(0.0)
         if f0 == 0.0:
             return None
-        # 1 is a grid point, so f(1) > 0 and only the diagonal breaks
+        # side c: the largest grid point <= 1 whose image is finite, so the
+        # certificate serializes; 1 itself unless f(1) overflows
+        finite = np.flatnonzero((grid <= 1.0) & np.isfinite(values))
+        k = finite[-1] if finite.size else np.searchsorted(grid, 1.0)
+        c, fc = float(grid[k]), float(values[k])
         violation = {"type": "nonzero_diagonal", "indices": [0, 0], "value": f0}
-        return _equilateral_image(spec, "nonzero_diagonal", 1.0, f0, spec(1.0), violation)
+        return _equilateral_image(spec, "nonzero_diagonal", c, f0, fc, violation)
     i = inverted[0]
     j = i + 1 + np.flatnonzero(values[i + 1:] < values[i])[0]
     c1, c2, f1, f2 = float(grid[i]), float(grid[j]), float(values[i]), float(values[j])

@@ -1,15 +1,19 @@
 """CLI contract: subcommands, exit codes, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from ultrapreserve.cli import main
 from ultrapreserve.matrix_io import save_space
+from ultrapreserve.parser import parse_function_spec as spec
 from ultrapreserve.spaces import validate_space
+from ultrapreserve.witnesses import verify_certificate, witness_not_ultrametric_preserving
 
 INVERSION = "piecewise { [0,1): t; [1,2): 5; [2,inf): 3 }"
+OVERFLOW_AT_ONE = "1 + t * 1e308 * 10"  # f(0) = 1, f(1) = inf
 
 
 @pytest.fixture
@@ -54,6 +58,13 @@ class TestClassify:
         code, _ = run(capsys, "classify", "garbage(((")
         assert code == 1
 
+    def test_overflowing_sums_warn_nothing(self, capsys):
+        # f(t) overflows to inf above t ~ 0.18, so the sampled image sums do too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["classify", OVERFLOW_AT_ONE])
+        assert code == 2 and capsys.readouterr().err == ""
+
     def test_function_file_input(self, capsys, tmp_path):
         path = tmp_path / "funcs.txt"
         path.write_text("# two members\nt\ncantor_hat(t)\n")
@@ -70,6 +81,15 @@ class TestWitness:
         doc = json.loads(out)
         assert doc["kind"] == "isosceles_inversion"
         assert doc["parameters"] == {"c1": 1.0, "c2": 2.0}
+
+    def test_agrees_with_classify_when_f_of_one_overflows(self, capsys):
+        code, out = run(capsys, "witness", OVERFLOW_AT_ONE, "--mode", "pu")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "nonzero_diagonal"
+        c = doc["parameters"]["c"]
+        assert c < 1.0 and doc["space_after"]["dist"][0][1] == spec(OVERFLOW_AT_ONE)(c)
+        assert verify_certificate(witness_not_ultrametric_preserving(spec(OVERFLOW_AT_ONE)))
 
     def test_member_exits_four(self, capsys):
         code, out = run(capsys, "witness", "t", "--mode", "pu")

@@ -16,10 +16,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import ultrametric_spaces
-from ultrapreserve.generators import dplus_space, random_ultrametric, tbu_noncompact_truncation
+from ultrapreserve.expr import NegativeInput, UndefinedValue
+from ultrapreserve.generators import (
+    dplus_space,
+    random_ultrametric,
+    tbu_noncompact_truncation,
+    triangle_isosceles,
+)
 from ultrapreserve.parser import parse_function_spec
 from ultrapreserve.spaces import (
     AsymmetricEntry,
@@ -44,6 +50,15 @@ from ultrapreserve.spaces import (
     subspace,
     validate_space,
 )
+
+
+APPLY_SPECS = [
+    "t",
+    "pow(t, 0.5)",
+    "pow(t, 3) + cantor_hat(t)",
+    "min(t, 1) * 3",
+    "piecewise { [0,0.5): t; [0.5,inf): 2 * t + 1 }",
+]
 
 
 def sides(a, b, c):
@@ -271,6 +286,42 @@ class TestApplyFunction:
     def test_nonzero_origin_rejected(self):
         with pytest.raises(NotAmenableOnSpectrum):
             apply_function(sides(1, 1, 1), parse_function_spec("t + 1"))
+
+    @given(ultrametric_spaces(max_points=12), st.sampled_from(APPLY_SPECS))
+    def test_bit_identical_to_one_scalar_call_per_value(self, space, text):
+        f = parse_function_spec(text)
+        got = apply_function(space, f)
+        want = np.zeros_like(space.dist)
+        for v in distance_spectrum(space):
+            want[space.dist == v] = f(v)
+        assert got.labels == space.labels
+        assert np.array_equal(got.dist.view(np.int64), want.view(np.int64))
+
+    def test_smallest_failing_value_decides_the_error(self):
+        # f(0.5) = 0 is not amenable; f(1.5) has no real value. The batch
+        # evaluates both, and the error still names 0.5, as a scan would.
+        f = parse_function_spec("piecewise { [0,1): t - t; [1,inf): pow(t - 2, 0.5) }")
+        with pytest.raises(NotAmenableOnSpectrum) as exc:
+            apply_function(triangle_isosceles(0.5, 1.5), f)
+        assert (exc.value.value, exc.value.image) == (0.5, 0.0)
+        assert str(exc.value) == "f(0.5) = 0.0: transform would not yield a semimetric"
+
+    def test_undefined_value_raises_the_scalar_error(self):
+        f = parse_function_spec("piecewise { [0,1): t; [1,inf): pow(t - 2, 0.5) }")
+        with pytest.raises(UndefinedValue) as scalar:
+            f(1.5)
+        with pytest.raises(UndefinedValue) as exc:
+            apply_function(triangle_isosceles(0.5, 1.5), f)
+        assert str(exc.value) == str(scalar.value)
+
+    def test_negative_entry_raises_as_the_scalar_call(self):
+        space = FiniteSemimetricSpace(("a", "b"), [[0.0, -1.0], [-1.0, 0.0]])
+        with pytest.raises(NegativeInput):
+            apply_function(space, parse_function_spec("t * t"))
+
+    def test_one_point_space(self):
+        space = validate_space([[0.0]])
+        assert apply_function(space, parse_function_spec("t + t")) == space
 
 
 class TestCoveringNumbers:
