@@ -166,10 +166,11 @@ def cmd_transform(args) -> int:
         image = apply_function(space, spec)
     except (SpaceValidationError, FunctionSpecError, ValueError, OSError) as exc:
         return _fail(str(exc))
+    # entries of both are >= 0, where max(a, b) <= fl(a + b): ultrametric implies metric
     was_ultra, _ = is_ultrametric(space)
-    was_metric, _ = is_metric(space)
+    was_metric = was_ultra or is_metric(space)[0]
     now_ultra, _ = is_ultrametric(image)
-    now_metric, _ = is_metric(image)
+    now_metric = now_ultra or is_metric(image)[0]
     summary = {
         "function": spec.source,
         "was_ultrametric": was_ultra,
@@ -192,7 +193,8 @@ def cmd_verify(args) -> int:
     except (SpaceValidationError, ValueError, OSError) as exc:
         return _fail(str(exc))
     ultra, ultra_violation = is_ultrametric(space)
-    metric, metric_violation = is_metric(space)
+    # entries of a validated space are >= 0, where max(a, b) <= fl(a + b): ultrametric implies metric
+    metric, metric_violation = (True, None) if ultra else is_metric(space)
     doc = {
         "points": len(space),
         "ultrametric": {
@@ -330,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[seed, budget, out],
                        help="full membership report for a function spec")
     p.add_argument("function", help="DSL expression or path to a function file")
-    p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("witness", parents=[out], help="synthesize a counterexample space")
     p.add_argument("function")
@@ -338,26 +339,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pu: not ultrametric-preserving; pt: not topology-preserving")
     p.add_argument("--levels", type=int, default=8,
                    help="truncation size for the covering divergence table")
-    p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("transform", parents=[fmt, out],
                        help="apply a function to a distance matrix")
     p.add_argument("matrix")
     p.add_argument("function")
-    p.set_defaults(handler=cmd_transform)
 
     p = sub.add_parser("verify", parents=[out], help="predicate report for a distance matrix")
     p.add_argument("matrix")
     p.add_argument("--eps", type=float, action="append",
                    help="report the covering number at this radius (repeatable)")
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("embed", parents=[out],
                        help="embed a 3-point ultrametric space into a universal space")
     p.add_argument("matrix")
     p.add_argument("--family", choices=("universal", "tbu"), default="universal")
     p.add_argument("--ratio", type=float, default=0.5)
-    p.set_defaults(handler=cmd_embed)
 
     p = sub.add_parser("generate", help="construct ultrametric spaces")
     gen = p.add_subparsers(dest="kind", required=True)
@@ -378,25 +375,30 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen.add_parser("isosceles", parents=[fmt, out])
     g.add_argument("--c1", type=float, required=True)
     g.add_argument("--c2", type=float, required=True)
-    p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("suite", parents=[seed, budget],
                        help="run the cross-module verification suites")
     p.add_argument("--out", default="suite_summary.json", help="summary file")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--max-points", type=int, default=12)
-    p.set_defaults(handler=cmd_suite)
 
     return parser
 
 
+_parser = None  # built on the first main call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.handler(args)
+    # looked up per call, not stored in the cached parser, so that a rebound
+    # cmd_* (the benchmark's tracer wraps them) is the one that runs
+    return globals()[f"cmd_{args.command}"](args)
 
 
 def entrypoint() -> None:

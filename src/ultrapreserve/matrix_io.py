@@ -23,7 +23,7 @@ from .spaces import FiniteSemimetricSpace, NonFiniteEntry, SpaceValidationError,
 def space_to_dict(space: FiniteSemimetricSpace, provenance: Optional[dict] = None) -> dict:
     doc = {
         "labels": list(space.labels),
-        "dist": [[float(v) for v in row] for row in space.dist],
+        "dist": space.dist.tolist(),
     }
     if provenance is not None:
         doc["provenance"] = provenance

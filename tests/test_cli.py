@@ -371,3 +371,15 @@ class TestUsage:
         code, out = run(capsys, "verify", matrix_122, "--out", str(out_file))
         assert code == 0 and out == ""
         assert json.loads(out_file.read_text())["ultrametric"]["holds"]
+
+    def test_consecutive_calls_share_no_state(self, capsys, monkeypatch, matrix_122):
+        # one parser serves every main call; no option may leak into the next
+        code, out = run(capsys, "verify", matrix_122, "--eps", "1")
+        assert code == 0 and json.loads(out)["covering"] == [{"eps": 1.0, "balls": 2}]
+        code, out = run(capsys, "verify", matrix_122)
+        assert code == 0 and json.loads(out)["covering"] == []
+        monkeypatch.setenv("ULTRA_SEED", "7")
+        code, out = run(capsys, "classify", "t", "--seed", "5", "--budget", "16")
+        assert code == 0 and json.loads(out)["seed"] == 5
+        code, out = run(capsys, "classify", "t", "--budget", "16")
+        assert code == 0 and json.loads(out)["seed"] == 7

@@ -35,6 +35,7 @@ from ultrapreserve.spaces import (
     NonzeroDiagonal,
     NotAmenableOnSpectrum,
     NotSquare,
+    PRIM_MIN_POINTS,
     SpaceValidationError,
     TooFewPoints,
     TooLarge,
@@ -49,6 +50,8 @@ from ultrapreserve.spaces import (
     minimum_covering_number,
     subspace,
     validate_space,
+    _equals_subdominant,
+    _first_violating_triple,
 )
 
 
@@ -82,15 +85,19 @@ def three_subset_ultrametric(space) -> bool:
 
 def first_violation_oracle(d, strong: bool):
     """Oracle: lexicographically first (i, j, k), all distinct, with
-    d[i, j] > max(d[i, k], d[k, j]) (strong) or d[i, k] + d[k, j]."""
+    d[i, j] > max(d[i, k], d[k, j]) (strong) or d[i, k] + d[k, j]. Every
+    ordered pair (i, j) is visited in turn and compared against all k at
+    once; max propagates NaN, as np.maximum does."""
     n = d.shape[0]
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if len({i, j, k}) < 3:
-            continue
-        rhs = max(d[i, k], d[k, j]) if strong else d[i, k] + d[k, j]
-        if d[i, j] > rhs:
+    combine = np.maximum if strong else np.add
+    for i, j in itertools.permutations(range(n), 2):
+        rhs = combine(d[i], d[:, j])  # rhs[k] = combine(d[i, k], d[k, j])
+        bad = d[i, j] > rhs
+        bad[i] = bad[j] = False
+        if bad.any():
+            k = int(bad.argmax())
             kind = "strong_triangle" if strong else "triangle"
-            return TripleViolation((i, j, k), float(d[i, j]), float(rhs), kind)
+            return TripleViolation((i, j, k), float(d[i, j]), float(rhs[k]), kind)
     return None
 
 
@@ -109,6 +116,115 @@ def oracle_matrices(kind: str, count: int = 120, seed: int = 0):
             a, b = (int(x) for x in rng.choice(n, 2, replace=False))
             d[a, b] = d[b, a] = d.max() * float(rng.choice([1.5, 2.5, 4.0]))
         yield d
+
+
+def prim_order(d):
+    """Points in the order Prim's algorithm from point 0 adds them."""
+    n = d.shape[0]
+    order = [0]
+    key = d[0].astype(float)
+    for _ in range(n - 1):
+        key[order] = np.inf
+        order.append(int(key.argmin()))
+        key = np.minimum(key, d[order[-1]])
+    return order
+
+
+def prescreen_matrices(n: int, seed: int):
+    """(name, matrix) pairs at size n for the ultrametric prescreen: passes
+    with and without ties, shifted copies with negative entries and nonzero
+    diagonals, violations planted at early, middle and late Prim positions,
+    and asymmetric or non-finite matrices that must bypass it."""
+    rng = np.random.default_rng(seed)
+    d = np.array(random_ultrametric(n, int(rng.integers(2**32))).dist)
+    order = prim_order(d)
+    levels = np.unique(d)
+    few = (np.searchsorted(levels, d) * 3 // len(levels) + 1.0) * (d > 0)
+    yield "random", d
+    yield "few_levels", few
+    yield "shifted", d - np.median(levels)
+    yield "shifted_few_levels", few - 2.0
+    for where, pos in (("early", 1), ("middle", n // 2), ("late", n - 1)):
+        # v joins after u, so the prescreen meets d[v, u] when v joins
+        u, v = order[pos - 1], order[pos]
+        planted = d.copy()
+        planted[u, v] = planted[v, u] = 4 * d.max()
+        yield f"planted_{where}", planted
+        tied = few.copy()
+        tied[u, v] = tied[v, u] = 5.0
+        yield f"planted_{where}_few_levels", tied
+    raised = d.copy()
+    raised[0, order[-1]] = 4 * d.max()  # Prim's row checks read only d[order[-1], 0]
+    yield "asymmetric_raised", raised
+    lowered = d.copy()
+    lowered[order[-1], order[-2]] /= 2
+    yield "asymmetric_lowered", lowered
+    nan = d.copy()
+    last = order[-1]
+    nan[0, last] = nan[last, 0] = np.nan  # Prim would add `last` first, across NaN
+    nan[order[1], last] = nan[last, order[1]] = 4 * d.max()
+    yield "nan_and_planted", nan
+    # Prim from 0 never crosses the infinite entries into the second half
+    first, second = order[: n // 2], order[n // 2:]
+    inf = d.copy()
+    inf[np.ix_(first, second)] = inf[np.ix_(second, first)] = np.inf
+    inf[second[0], second[1]] = inf[second[1], second[0]] = 4 * d.max()
+    yield "inf_and_planted", inf
+
+
+def validate_by_double_loop(matrix):
+    """Reference: the entry-by-entry validation loop, in row-major order."""
+    m = np.array(matrix, dtype=float)
+    n = m.shape[0]
+    for i in range(n):
+        for j in range(n):
+            v = m[i, j]
+            if not np.isfinite(v):
+                raise NonFiniteEntry(i, j, v)
+            if i == j:
+                if v != 0.0:
+                    raise NonzeroDiagonal(i, v)
+            elif i < j:
+                if v <= 0.0:
+                    raise NonpositiveOffDiagonal(i, j, v)
+                if m[j, i] != v:
+                    raise AsymmetricEntry(i, j, v, m[j, i])
+
+
+def defective_matrices(count: int = 300, seed: int = 0):
+    """Seeded ultrametrics with a defect planted at each of two to four
+    distinct point pairs: non-finite or nonpositive entries (on one side or
+    both), nonzero diagonals and one-sided changes."""
+    rng = np.random.default_rng(seed)
+    nonfinite = [np.nan, np.inf, -np.inf]
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        d = np.array(random_ultrametric(n, int(rng.integers(2**32))).dist)
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        for p in rng.choice(len(pairs), size=min(int(rng.integers(2, 5)), len(pairs)),
+                            replace=False):
+            i, j = pairs[p] if rng.random() < 0.5 else pairs[p][::-1]
+            kind = int(rng.integers(3))
+            if i == j:
+                d[i, i] = [0.5, -1.0, *nonfinite][int(rng.integers(5))]
+            elif kind == 2:
+                d[i, j] *= 2
+            else:
+                values = nonfinite if kind == 0 else [0.0, -0.0, -1.0]
+                d[i, j] = values[int(rng.integers(3))]
+                if rng.random() < 0.5:
+                    d[j, i] = d[i, j]
+        yield d
+
+
+def minimum_net_by_rows(space, eps) -> int:
+    """Reference: exhaustive net search over boolean rows of d <= eps."""
+    within = space.dist <= eps
+    n = len(space)
+    for k in range(1, n + 1):
+        for centers in itertools.combinations(range(n), k):
+            if within[list(centers)].any(axis=0).all():
+                return k
 
 
 def component_covering(space, eps) -> int:
@@ -165,6 +281,16 @@ class TestValidation:
             validate_space(matrix)
         assert str(exc.value) == message
 
+    def test_matches_the_double_loop_on_defective_matrices(self):
+        for d in defective_matrices():
+            with pytest.raises(SpaceValidationError) as want:
+                validate_by_double_loop(d)
+            with pytest.raises(SpaceValidationError) as got:
+                validate_space(d)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+            assert got.value.indices == want.value.indices
+
     def test_not_square(self):
         with pytest.raises(NotSquare):
             validate_space([[0, 1, 2], [1, 0, 2]])
@@ -219,6 +345,18 @@ class TestPredicates:
             for predicate, strong in ((is_ultrametric, True), (is_metric, False)):
                 want = first_violation_oracle(d, strong)
                 assert predicate(space) == (want is None, want)
+
+    @pytest.mark.parametrize("n", [PRIM_MIN_POINTS - 1, PRIM_MIN_POINTS,
+                                   2 * PRIM_MIN_POINTS, 362])
+    def test_prescreen_matches_the_scan_and_the_triple_loop(self, n):
+        for name, d in prescreen_matrices(n, seed=n):
+            space = FiniteSemimetricSpace([f"x{i}" for i in range(n)], d)
+            want = first_violation_oracle(d, strong=True)
+            assert _first_violating_triple(d, np.maximum, "strong_triangle") == want, name
+            assert is_ultrametric(space) == (want is None, want), name
+            if np.isfinite(d).all() and np.array_equal(d, d.T):
+                # a rejection names a violating triple, so the prescreen is exact
+                assert _equals_subdominant(d) is (want is None), name
 
     @pytest.mark.parametrize("predicate", [is_ultrametric, is_metric])
     def test_degenerate_triples_are_ignored(self, predicate):
@@ -348,6 +486,16 @@ class TestCoveringNumbers:
         space = tbu_noncompact_truncation(13, 0.5)[0]
         with pytest.raises(TooLarge):
             minimum_covering_number(space, 0.5, max_points=12)
+
+    def test_minimum_matches_the_row_search_on_arbitrary_matrices(self):
+        rng = np.random.default_rng(0)
+        for _ in range(150):
+            n = int(rng.integers(1, 9))
+            d = rng.integers(0, 5, size=(n, n)).astype(float)
+            np.fill_diagonal(d, 0.0)
+            space = FiniteSemimetricSpace([f"x{i}" for i in range(n)], d)
+            for eps in (0.5, 1.0, 2.0, 3.5):
+                assert minimum_covering_number(space, eps) == minimum_net_by_rows(space, eps)
 
     @given(ultrametric_spaces(min_points=2, max_points=7))
     def test_greedy_equals_minimum_and_components(self, space):
