@@ -9,12 +9,11 @@ from .classify import (
     check_minmax_equation,
     check_triplet_preservation,
     classification_report,
-    classify_metric_preserving_sufficient,
     classify_strongly_preserving,
     classify_ultrametric_preserving,
     find_minmax_violation,
 )
-from .expr import FunctionSpec, cantor_hat
+from .expr import FunctionSpec
 from .generators import (
     LevelSequence,
     UniversalPoint,
@@ -33,7 +32,6 @@ from .properties import (
     Status,
     check_amenable,
     check_continuous_at_zero,
-    check_diverges_at_infinity,
     check_increasing,
     check_subadditive,
     inf_on_positive,
@@ -77,16 +75,13 @@ __all__ = [
     "WitnessCertificate",
     "apply_function",
     "are_isometric_small",
-    "cantor_hat",
     "check_amenable",
     "check_continuous_at_zero",
-    "check_diverges_at_infinity",
     "check_increasing",
     "check_minmax_equation",
     "check_subadditive",
     "check_triplet_preservation",
     "classification_report",
-    "classify_metric_preserving_sufficient",
     "classify_strongly_preserving",
     "classify_ultrametric_preserving",
     "covering_number",

@@ -75,16 +75,6 @@ def classify_strongly_preserving(spec: FunctionSpec) -> PropertyVerdict:
     )
 
 
-def classify_metric_preserving_sufficient(
-    spec: FunctionSpec, budget: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0
-) -> PropertyVerdict:
-    """Increasing and subadditive: certifies the transform preserves metrics
-    and ultrametrics simultaneously."""
-    return combine_verdicts(
-        check_increasing(spec), check_subadditive(spec, budget, seed)
-    )
-
-
 def _sample_triangle_triples(rng: np.random.Generator, count: int) -> np.ndarray:
     """Sorted triples a <= b <= c with 2*c <= a + b + c, drawn directly: b
     log-uniform, a = b*v and c = b + a*u for v, u ~ U[0, 1). Rounding is

@@ -307,6 +307,16 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _radius(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive finite radius, got {text!r}")
+    return value
+
+
 def _option(*flags, **kwargs) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(*flags, **kwargs)
@@ -347,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[out], help="predicate report for a distance matrix")
     p.add_argument("matrix")
-    p.add_argument("--eps", type=float, action="append",
+    p.add_argument("--eps", type=_radius, action="append",
                    help="report the covering number at this radius (repeatable)")
 
     p = sub.add_parser("embed", parents=[out],

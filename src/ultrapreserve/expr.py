@@ -6,9 +6,9 @@ min/max, the extended Cantor step function, positive jump functions, and
 piecewise definitions over a partition of [0, inf).
 
 Trees are immutable after construction; evaluation and all analyses are pure,
-so specs can be shared freely between concurrent tasks. `evaluate_many` walks
-the tree once for a whole array of points and gives the same bits as
-`evaluate` at each of them.
+so specs can be shared freely between concurrent tasks. One walker evaluates a
+tree: it visits each node once for a whole array of points, and gives at each
+point the bits, or the error, of a scalar walk in Python floats.
 """
 
 from __future__ import annotations
@@ -169,43 +169,6 @@ def _validate_partition(pieces: tuple[Piece, ...]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The extended Cantor function
-
-
-def cantor_hat(t: float) -> float:
-    """Extended Cantor function: G(t) on [0, 1], constant 1 on (1, inf).
-
-    Ternary digits of t are extracted by repeated multiplication by 3 (round
-    to nearest); the usual digit-halving rule maps them to binary digits of
-    the result, stopping at the first ternary digit equal to 1. The rounding
-    in the digit loop keeps near-triadic inputs (such as float(1/3)) on the
-    value of the intended rational; the 64-digit cap bounds the truncation
-    error by 2**-64.
-    """
-    if t < 0:
-        raise NegativeInput(t)
-    if t >= 1.0:
-        return 1.0
-    if t == 0.0:
-        return 0.0
-    acc = 0
-    x = t
-    for k in range(1, CANTOR_DIGITS + 1):
-        x *= 3.0
-        d = int(x)
-        if d > 2:  # only reachable if rounding pushes x to exactly 3.0
-            d = 2
-        x -= d
-        if d == 1:
-            acc = (acc << 1) | 1
-            return math.ldexp(acc, -k)
-        acc = (acc << 1) | (d >> 1)
-        if x == 0.0:
-            return math.ldexp(acc, -k)
-    return math.ldexp(acc, -CANTOR_DIGITS)
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 
 
@@ -218,39 +181,17 @@ def _pow(base: float, exponent: float) -> float:
         raise UndefinedValue(f"pow({base!r}, {exponent!r}) has no real value") from None
 
 
-def evaluate(node: Node, t: float) -> float:
-    """Value of the expression at t >= 0. Overflow saturates to +inf."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return t
-    if isinstance(node, Sum):
-        return evaluate(node.left, t) + evaluate(node.right, t)
-    if isinstance(node, Difference):
-        return evaluate(node.left, t) - evaluate(node.right, t)
-    if isinstance(node, Product):
-        return evaluate(node.left, t) * evaluate(node.right, t)
-    if isinstance(node, Power):
-        return _pow(evaluate(node.base, t), node.exponent)
-    if isinstance(node, Min):
-        return min(evaluate(node.left, t), evaluate(node.right, t))
-    if isinstance(node, Max):
-        return max(evaluate(node.left, t), evaluate(node.right, t))
-    if isinstance(node, CantorHat):
-        return cantor_hat(t)
-    if isinstance(node, StepAbove):
-        return 0.0 if t == 0.0 else node.height
-    if isinstance(node, Piecewise):
-        for piece in node.pieces:
-            if piece.contains(t):
-                return evaluate(piece.expr, t)
-        raise FunctionSpecError(f"no piece covers t = {t!r}")  # unreachable
-    raise TypeError(f"unknown node {node!r}")
-
-
 def _cantor_hat_many(ts: np.ndarray) -> np.ndarray:
-    """`cantor_hat` over an array of points in [0, inf): the same digit loop,
-    run on every point still scanning, so each value matches bit for bit."""
+    """Extended Cantor function at every point of ts in [0, inf): G(t) on
+    [0, 1], constant 1 above.
+
+    Ternary digits of t are extracted by repeated multiplication by 3 (round
+    to nearest); the usual digit-halving rule maps them to binary digits of
+    the result, stopping at the first ternary digit equal to 1. The rounding
+    in the digit loop keeps near-triadic inputs (such as float(1/3)) on the
+    value of the intended rational; the 64-digit cap bounds the truncation
+    error by 2**-64. Each step runs on the points still scanning.
+    """
     out = np.where(ts >= 1.0, 1.0, 0.0)
     idx = np.flatnonzero((ts > 0.0) & (ts < 1.0))
     x = ts[idx]
@@ -259,7 +200,7 @@ def _cantor_hat_many(ts: np.ndarray) -> np.ndarray:
         if not idx.size:
             break
         x = x * 3.0
-        d = np.minimum(x.astype(np.int64), 2)  # int(x), capped as in cantor_hat
+        d = np.minimum(x.astype(np.int64), 2)  # x reaches 3.0 only by rounding
         x = x - d
         acc = (acc << 1) | (d > 0).astype(np.uint64)  # digit 1 -> 1, 2 -> 1, 0 -> 0
         done = (d == 1) | (x == 0.0)
@@ -275,17 +216,19 @@ def _cantor_hat_many(ts: np.ndarray) -> np.ndarray:
 _POW_CHUNK = 1024
 
 
-def _pow_many(base: np.ndarray, exponent: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_pow` per element: `np.power` differs from `math.pow` in the last ulp."""
+def _pow_many(base: np.ndarray, exponent: float) -> tuple[np.ndarray, dict]:
+    """`_pow` per element, since `np.power` differs from `math.pow` in the
+    last ulp; the UndefinedValue of each failing element goes into the
+    errors, keyed by its index."""
     values = np.full(base.shape, math.nan)
-    undefined = np.zeros(base.shape, dtype=bool)
+    errors = {}
     for start in range(0, base.size, _POW_CHUNK):
         for k, b in enumerate(base[start:start + _POW_CHUNK].tolist(), start):
             try:
                 values[k] = _pow(b, exponent)
-            except UndefinedValue:
-                undefined[k] = True
-    return values, undefined
+            except UndefinedValue as exc:
+                errors[k] = UndefinedValue(*exc.args)  # a fresh copy holds no traceback
+    return values, errors
 
 
 # In-place combiners: the left operand's array becomes the result. Python's
@@ -300,43 +243,59 @@ _COMBINE_INTO = {
 }
 
 
-@np.errstate(all="ignore")
-def evaluate_many(node: Node, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`evaluate` at every point of the 1-d float array ts, in one walk.
+def _evaluate_many(node: Node, ts: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The tree at every point of the 1-d float array ts, in one walk; run it
+    under np.errstate(all="ignore"), once per walk, not per node.
 
-    Returns the values, bit-identical to `evaluate(node, t)` wherever that
-    returns, and a mask of the points where it raises instead (a pow domain
-    error, or a point no piece or Cantor digit covers); values under the mask
+    Returns the values, each bit-identical to a scalar walk in Python floats
+    (math.pow, Python's min and max, the Cantor digit loop) at its point, and
+    the errors: a dict from the index of each point where that walk raises to
+    the exception it raises there first. Left operands come before right
+    ones, and operands before their node's own pow. Values at those points
     mean nothing. Each piecewise piece is evaluated only on its own points.
     """
     if isinstance(node, Const):
-        return np.full(ts.shape, node.value, dtype=float), np.zeros(ts.shape, dtype=bool)
+        return np.full(ts.shape, node.value, dtype=float), {}
     if isinstance(node, Var):
-        return ts.copy(), np.zeros(ts.shape, dtype=bool)
+        return ts.copy(), {}
     if isinstance(node, StepAbove):
-        return np.where(ts == 0.0, 0.0, node.height), np.zeros(ts.shape, dtype=bool)
+        return np.where(ts == 0.0, 0.0, node.height), {}
     if isinstance(node, CantorHat):
-        return _cantor_hat_many(ts), ~(ts >= 0.0)  # cantor_hat raises on NaN and t < 0
+        return _cantor_hat_many(ts), {}
     if isinstance(node, Power):
-        base, undefined = evaluate_many(node.base, ts)
-        values, pow_undefined = _pow_many(base, node.exponent)
-        return values, undefined | pow_undefined
+        base, errors = _evaluate_many(node.base, ts)
+        values, pow_errors = _pow_many(base, node.exponent)
+        return values, {**pow_errors, **errors}
     if isinstance(node, Piecewise):
         values = np.full(ts.shape, math.nan)
-        undefined = np.ones(ts.shape, dtype=bool)
+        errors = {}
+        uncovered = np.ones(ts.shape, dtype=bool)
         for piece in node.pieces:
             idx = np.flatnonzero(piece.contains(ts))
             if idx.size:
-                values[idx], undefined[idx] = evaluate_many(piece.expr, ts[idx])
-        return values, undefined
+                values[idx], piece_errors = _evaluate_many(piece.expr, ts[idx])
+                errors.update((int(idx[k]), exc) for k, exc in piece_errors.items())
+                uncovered[idx] = False
+        for k in np.flatnonzero(uncovered).tolist():  # t = inf, or outside [0, inf)
+            errors[k] = FunctionSpecError(f"no piece covers t = {float(ts[k])!r}")
+        return values, errors
     combine_into = _COMBINE_INTO.get(type(node))
     if combine_into is None:
         raise TypeError(f"unknown node {node!r}")
-    values, undefined = evaluate_many(node.left, ts)
-    right, right_undefined = evaluate_many(node.right, ts)
+    values, errors = _evaluate_many(node.left, ts)
+    right, right_errors = _evaluate_many(node.right, ts)
     combine_into(values, right)
-    undefined |= right_undefined
-    return values, undefined
+    return values, {**right_errors, **errors}
+
+
+@np.errstate(all="ignore")
+def value_at(node: Node, t: float) -> float:
+    """The tree at the one point t >= 0, NaN included; raises what a scalar
+    walk raises there."""
+    values, errors = _evaluate_many(node, np.array([t], dtype=float))
+    if errors:
+        raise errors[0]
+    return float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -397,27 +356,32 @@ class FunctionSpec:
     source: str
 
     def __call__(self, t: float) -> float:
-        if t < 0:
-            raise NegativeInput(t)
-        value = evaluate(self.root, t)
-        if value != value:  # NaN
-            raise UndefinedValue(f"{self.source} is undefined (NaN) at t = {t!r}")
-        return value
+        return float(self.values([t])[0])
 
     def values(self, ts) -> np.ndarray:
-        """`[self(t) for t in ts]` as a float array of the shape of ts, bit for
-        bit, from one `evaluate_many` walk. Where a scalar call would raise,
-        the scalar call at the first such point (in C order) raises the same
-        exception here."""
+        """f at every point of ts, as a float array of the shape of ts, from
+        one walk of the tree. Where f fails, the failure at the first failing
+        point (in C order) raises."""
         ts = np.asarray(ts, dtype=float)
-        flat = ts.ravel()
-        values, undefined = evaluate_many(self.root, flat)
-        bad = undefined | np.isnan(values) | (flat < 0.0)
-        if bad.any():
-            t = float(flat[bad.argmax()])
-            self(t)
-            raise RuntimeError(f"evaluate_many flagged {self.source} at t = {t!r}, evaluate did not")
+        values, errors = self.try_values(ts.ravel())
+        if errors:
+            raise errors[min(errors)]
         return values.reshape(ts.shape)
+
+    @np.errstate(all="ignore")
+    def try_values(self, ts: np.ndarray) -> tuple[np.ndarray, dict]:
+        """f at every point of the 1-d float array ts, from one walk, and the
+        errors: a dict from the index of each point where f fails to what it
+        raises there. A t outside [0, inf), NaN included, fails first, then
+        what the walk meets, then a NaN value. Values at those points mean
+        nothing."""
+        values, errors = _evaluate_many(self.root, ts)
+        for k in np.flatnonzero(np.isnan(values)).tolist():
+            t = float(ts[k])
+            errors.setdefault(k, UndefinedValue(f"{self.source} is undefined (NaN) at t = {t!r}"))
+        for k in np.flatnonzero(~(ts >= 0.0)).tolist():
+            errors[k] = NegativeInput(float(ts[k]))
+        return values, errors
 
     @classmethod
     def from_node(cls, node: Node) -> "FunctionSpec":
@@ -448,7 +412,7 @@ def fold_constant(node: Node) -> Optional[float]:
     """Value of a constant subtree, or None if it depends on t."""
     if any(isinstance(sub, (Var, CantorHat, StepAbove, Piecewise)) for sub in walk(node)):
         return None
-    return evaluate(node, 0.0)
+    return value_at(node, 0.0)
 
 
 def first_negative_fold(node: Node) -> Optional[Node]:
@@ -579,45 +543,4 @@ def right_limit_at_zero(node: Node) -> float:
             if p.upper > 0:  # first piece intersecting (0, delta)
                 return right_limit_at_zero(p.expr)
         raise DomainGap("no piece intersects (0, inf)")  # unreachable
-    raise TypeError(f"unknown node {node!r}")
-
-
-def limit_at_infinity(node: Node) -> Optional[float]:
-    """lim_{t -> inf} of the expression: a float, math.inf, or None (unknown)."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return INF
-    if isinstance(node, CantorHat):
-        return 1.0
-    if isinstance(node, StepAbove):
-        return node.height
-    if isinstance(node, Piecewise):
-        return limit_at_infinity(node.pieces[-1].expr)
-    if isinstance(node, Power):
-        b = limit_at_infinity(node.base)
-        if node.exponent == 0:
-            return 1.0
-        if b is None:
-            return None
-        return INF if math.isinf(b) else _pow(b, node.exponent)
-    lims = [limit_at_infinity(c) for c in children(node)]
-    if any(v is None for v in lims):
-        return None
-    l, r = lims
-    if isinstance(node, Sum):
-        return l + r
-    if isinstance(node, Difference):
-        if math.isinf(l) and math.isinf(r):
-            return None
-        d = l - r
-        return d if d >= 0 or math.isfinite(d) else None
-    if isinstance(node, Product):
-        if (math.isinf(l) and r == 0) or (math.isinf(r) and l == 0):
-            return None
-        return l * r
-    if isinstance(node, Min):
-        return min(l, r)
-    if isinstance(node, Max):
-        return max(l, r)
     raise TypeError(f"unknown node {node!r}")

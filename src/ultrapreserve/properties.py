@@ -23,18 +23,15 @@ from .expr import (
     FunctionSpec,
     Piecewise,
     breakpoints,
-    evaluate,
-    limit_at_infinity,
     monotone_certified,
     positive_certified,
     right_limit_at_zero,
+    value_at,
 )
 
 PROBE_GRID = 2.0 ** np.linspace(-60.0, 60.0, 241)  # half-integer exponents
 DEFAULT_SAMPLE_BUDGET = 4096
 BREAKPOINT_OFFSET = 2.0**-40
-DIVERGENCE_PROBES = np.ldexp(1.0, np.arange(1, 61))  # 2**1 .. 2**60
-DIVERGENCE_BOUND = 2.0**30
 
 
 class Status(str, enum.Enum):
@@ -208,21 +205,6 @@ def check_continuous_at_zero(spec: FunctionSpec) -> PropertyVerdict:
     return PropertyVerdict(Status.FAILS, witness, 2, exact=True)
 
 
-def check_diverges_at_infinity(spec: FunctionSpec) -> PropertyVerdict:
-    """lim_{t -> inf} f(t) = +inf (probe of the conjectured growth condition)."""
-    limit = limit_at_infinity(spec.root)
-    if limit is not None:
-        if math.isinf(limit):
-            return PropertyVerdict(Status.HOLDS, None, 0, exact=True)
-        t = 2.0**60
-        witness = {"t": t, "f_t": spec(t), "limit_at_inf": limit}
-        return PropertyVerdict(Status.FAILS, witness, 1, exact=True)
-    values = spec.values(DIVERGENCE_PROBES)
-    if values[-1] > DIVERGENCE_BOUND:
-        return PropertyVerdict(Status.HOLDS, None, len(values), exact=False)
-    return PropertyVerdict(Status.UNDETERMINED, None, len(values), exact=False)
-
-
 def inf_on_positive(spec: FunctionSpec) -> InfimumBound:
     """Infimum of f over (0, inf); exact when a structural argument applies.
 
@@ -251,7 +233,7 @@ def _symbolic_inf(node) -> Optional[float]:
             else:
                 # piece expressions are continuous on (0, inf), so the value
                 # at the left endpoint is the infimum over the piece either way
-                values.append(evaluate(p.expr, at))
+                values.append(value_at(p.expr, at))
         return min(values) if values else None
     if monotone_certified(node):
         return right_limit_at_zero(node)
@@ -274,8 +256,6 @@ def verify_witness(spec: FunctionSpec, witness: dict) -> bool:
         return spec(x + y) > spec(x) + spec(y)
     if "f_0" in witness:  # continuity at zero
         return spec(witness["t"]) == witness["f_t"] and witness["f_t"] != witness["f_0"]
-    if "limit_at_inf" in witness:  # divergence
-        return spec(witness["t"]) == witness["f_t"] and math.isfinite(witness["limit_at_inf"])
     if {"p", "q", "l"} <= witness.keys():  # triangle-triplet or min-max triple
         from .classify import minmax_equation_holds, triangle_triplet_holds
 

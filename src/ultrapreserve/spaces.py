@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import FunctionSpec, evaluate_many
+from .expr import FunctionSpec
 
 ISOMETRY_MAX_POINTS = 8  # 8! = 40320 permutations keeps exhaustive search trivial
 BRUTE_NET_MAX_POINTS = 12
@@ -270,21 +270,22 @@ def min_positive_distance(space: FiniteSemimetricSpace) -> float:
 def apply_function(space: FiniteSemimetricSpace, f: FunctionSpec) -> FiniteSemimetricSpace:
     """Entrywise image f(d); requires f amenable on the spectrum of d.
 
-    The spectrum is evaluated in one batch, so equal inputs produce bit-equal
-    outputs; the smallest value where f fails raises as a scalar scan would.
+    0 and the spectrum are evaluated in one batch, so equal inputs produce
+    bit-equal outputs; the first point where f fails or is not amenable, in
+    the order 0 and then the ascending spectrum, raises as a scalar scan would.
     """
-    f0 = f(0.0)
-    if f0 != 0.0:
-        raise NotAmenableOnSpectrum(0.0, f0)
     iu = np.triu_indices(len(space), 1)
     spectrum, inverse = np.unique(space.dist[iu], return_inverse=True)
-    image, undefined = evaluate_many(f.root, spectrum)
-    bad = undefined | ~(image > 0.0) | ~np.isfinite(image) | (spectrum < 0.0)
+    ts = np.concatenate(([0.0], spectrum))
+    image, errors = f.try_values(ts)
+    bad = ~(image > 0.0) | ~np.isfinite(image)
+    bad[0] = image[0] != 0.0
+    bad[list(errors)] = True
     if bad.any():
-        v = float(spectrum[bad.argmax()])
-        raise NotAmenableOnSpectrum(v, f(v))
+        k = int(bad.argmax())
+        raise errors.get(k) or NotAmenableOnSpectrum(float(ts[k]), float(image[k]))
     out = np.zeros_like(space.dist)
-    out[iu] = out.T[iu] = image[inverse]
+    out[iu] = out.T[iu] = image[1:][inverse]
     return FiniteSemimetricSpace(space.labels, out)
 
 
@@ -295,7 +296,7 @@ def covering_number(space: FiniteSemimetricSpace, eps: float) -> int:
     point. For ultrametric spaces closed balls of a fixed radius partition
     the space, so the greedy net is minimum.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     d = space.dist
     covered = np.zeros(len(space), dtype=bool)
@@ -311,7 +312,7 @@ def minimum_covering_number(
     space: FiniteSemimetricSpace, eps: float, max_points: int = BRUTE_NET_MAX_POINTS
 ) -> int:
     """Exhaustive minimum net size over all center subsets (small n only)."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     n = len(space)
     if n > max_points:
@@ -348,10 +349,3 @@ def are_isometric_small(
             return True, {a.labels[i]: b.labels[perm[i]] for i in range(n)}
     return False, None
 
-
-def subspace(space: FiniteSemimetricSpace, indices: Sequence[int]) -> FiniteSemimetricSpace:
-    """Restriction to a subset of points (order preserved)."""
-    idx = list(indices)
-    return FiniteSemimetricSpace(
-        tuple(space.labels[i] for i in idx), space.dist[np.ix_(idx, idx)]
-    )

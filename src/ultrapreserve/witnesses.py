@@ -39,6 +39,7 @@ from .spaces import (
     NonzeroDiagonal,
     PositivityViolation,
     TripleViolation,
+    apply_function,
     are_isometric_small,
     covering_number,
     distance_spectrum,
@@ -186,8 +187,6 @@ def witness_not_strongly_preserving(
         return None
     a = bound.estimate
     before, levels = tbu_noncompact_truncation(n_levels, ratio=0.5)
-    from .spaces import apply_function
-
     after = apply_function(before, spec)
     eps_after = a / 2.0
     cov_before = covering_number(before, COVERING_EPS_BEFORE)

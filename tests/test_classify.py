@@ -13,7 +13,6 @@ from ultrapreserve.classify import (
     check_minmax_equation,
     check_triplet_preservation,
     classification_report,
-    classify_metric_preserving_sufficient,
     classify_strongly_preserving,
     classify_ultrametric_preserving,
     find_minmax_violation,
@@ -77,14 +76,18 @@ class TestStronglyPreserving:
 
 
 class TestMetricPreservingSufficient:
+    @staticmethod
+    def verdict(source):
+        return classification_report(spec(source), seed=1).metric_preserving_sufficient
+
     def test_identity_holds(self):
-        assert classify_metric_preserving_sufficient(spec("t"), seed=1).holds
+        assert self.verdict("t").holds
 
     def test_cantor_holds(self):
-        assert classify_metric_preserving_sufficient(spec("cantor_hat(t)"), seed=1).holds
+        assert self.verdict("cantor_hat(t)").holds
 
     def test_square_fails_subadditivity(self):
-        v = classify_metric_preserving_sufficient(spec("t * t"), seed=1)
+        v = self.verdict("t * t")
         assert v.fails and (v.witness["x"], v.witness["y"]) == (1.0, 1.0)
 
 

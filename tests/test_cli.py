@@ -349,6 +349,13 @@ class TestOutOfRangeParameters:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    def test_verify_eps_is_a_positive_finite_radius(self, capsys, matrix_122, eps):
+        assert main(["verify", matrix_122, "--eps", eps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --eps: expected a positive finite radius, got {eps!r}" in captured.err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -3,6 +3,8 @@
 The Cantor expectations are frozen from an exact-rational digit oracle
 (`cantor_oracle` below), which extracts ternary digits of the intended
 rational with integer arithmetic and never touches the float code path.
+The batch walker is held to a scalar walker kept here (`evaluate`), which
+computes one point at a time in Python floats: same bits, same first error.
 """
 
 import math
@@ -14,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ultrapreserve.expr import (
+    CANTOR_DIGITS,
     CantorHat,
     Const,
     Difference,
     FunctionSpec,
+    FunctionSpecError,
     Max,
     Min,
     NegativeInput,
@@ -29,15 +33,95 @@ from ultrapreserve.expr import (
     StepAbove,
     Sum,
     Var,
-    cantor_hat,
-    evaluate,
-    evaluate_many,
-    limit_at_infinity,
+    _evaluate_many,
+    fold_constant,
     monotone_certified,
     positive_certified,
     right_limit_at_zero,
     to_text,
 )
+
+
+# ---------------------------------------------------------------------------
+# The scalar walker: the bit-identity oracle of the batch walker
+
+
+def cantor_hat(t: float) -> float:
+    """The Cantor digit loop on one Python float."""
+    if t < 0:
+        raise NegativeInput(t)
+    if t >= 1.0:
+        return 1.0
+    if t == 0.0:
+        return 0.0
+    acc = 0
+    x = t
+    for k in range(1, CANTOR_DIGITS + 1):
+        x *= 3.0
+        d = int(x)
+        if d > 2:  # only reachable if rounding pushes x to exactly 3.0
+            d = 2
+        x -= d
+        if d == 1:
+            acc = (acc << 1) | 1
+            return math.ldexp(acc, -k)
+        acc = (acc << 1) | (d >> 1)
+        if x == 0.0:
+            return math.ldexp(acc, -k)
+    return math.ldexp(acc, -CANTOR_DIGITS)
+
+
+def _pow(base: float, exponent: float) -> float:
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        raise UndefinedValue(f"pow({base!r}, {exponent!r}) has no real value") from None
+
+
+def evaluate(node, t: float) -> float:
+    """Value of the expression at t >= 0. Overflow saturates to +inf."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return t
+    if isinstance(node, Sum):
+        return evaluate(node.left, t) + evaluate(node.right, t)
+    if isinstance(node, Difference):
+        return evaluate(node.left, t) - evaluate(node.right, t)
+    if isinstance(node, Product):
+        return evaluate(node.left, t) * evaluate(node.right, t)
+    if isinstance(node, Power):
+        return _pow(evaluate(node.base, t), node.exponent)
+    if isinstance(node, Min):
+        return min(evaluate(node.left, t), evaluate(node.right, t))
+    if isinstance(node, Max):
+        return max(evaluate(node.left, t), evaluate(node.right, t))
+    if isinstance(node, CantorHat):
+        return cantor_hat(t)
+    if isinstance(node, StepAbove):
+        return 0.0 if t == 0.0 else node.height
+    if isinstance(node, Piecewise):
+        for piece in node.pieces:
+            if piece.contains(t):
+                return evaluate(piece.expr, t)
+        raise FunctionSpecError(f"no piece covers t = {t!r}")
+    raise TypeError(f"unknown node {node!r}")
+
+
+def scalar_call(spec: FunctionSpec, t: float) -> float:
+    """What `spec(t)` must do, one Python float at a time."""
+    if not t >= 0:
+        raise NegativeInput(t)
+    value = evaluate(spec.root, t)
+    if value != value:  # NaN
+        raise UndefinedValue(f"{spec.source} is undefined (NaN) at t = {t!r}")
+    return value
+
+
+G = FunctionSpec.from_node(CantorHat())
+walk = np.errstate(all="ignore")(_evaluate_many)  # as FunctionSpec.try_values runs it
 
 
 def cantor_oracle(x: Fraction, digits: int = 64) -> Fraction:
@@ -66,74 +150,66 @@ assert abs(cantor_oracle(Fraction(1, 4)) - Fraction(1, 3)) < Fraction(1, 2**60)
 
 class TestCantorHat:
     def test_anchor_values(self):
-        assert cantor_hat(0.0) == 0.0
-        assert cantor_hat(1.0) == 1.0
-        assert cantor_hat(2.0) == 1.0
-        assert cantor_hat(100.0) == 1.0
+        assert G(0.0) == 0.0
+        assert G(1.0) == 1.0
+        assert G(2.0) == 1.0
+        assert G(100.0) == 1.0
 
     def test_one_third_is_one_half(self):
         # frozen from cantor_oracle(Fraction(1, 3)) == 1/2
-        assert abs(cantor_hat(1.0 / 3.0) - 0.5) <= 2.0**-50
+        assert abs(G(1.0 / 3.0) - 0.5) <= 2.0**-50
 
     def test_one_quarter_is_one_third(self):
         # frozen from cantor_oracle(Fraction(1, 4)); exact digits cycle 0,2
-        assert abs(cantor_hat(0.25) - 1.0 / 3.0) <= 2.0**-50
+        assert abs(G(0.25) - 1.0 / 3.0) <= 2.0**-50
 
     def test_plateau_values(self):
         # G is 1/2 on [1/3, 2/3] and 1/4 on [1/9, 2/9]
-        assert cantor_hat(0.5) == 0.5
-        assert cantor_hat(2.0 / 3.0) == 0.5
-        assert abs(cantor_hat(1.0 / 9.0) - 0.25) <= 2.0**-50
-        assert abs(cantor_hat(0.2) - 0.25) <= 2.0**-50
+        assert G(0.5) == 0.5
+        assert G(2.0 / 3.0) == 0.5
+        assert abs(G(1.0 / 9.0) - 0.25) <= 2.0**-50
+        assert abs(G(0.2) - 0.25) <= 2.0**-50
 
     def test_negative_input_rejected(self):
         with pytest.raises(NegativeInput):
-            cantor_hat(-0.5)
+            G(-0.5)
 
     def test_matches_rational_oracle_on_dyadics(self):
-        import numpy as np
-
-        rng = np.random.default_rng(20240811)
-        ks = rng.integers(1, 2**40, size=200)
-        for k in ks:
-            x = float(k) / 2.0**40
-            expected = float(cantor_oracle(Fraction(int(k), 2**40)))
-            assert abs(cantor_hat(x) - expected) <= 2.0**-28
+        ks = np.random.default_rng(20240811).integers(1, 2**40, size=200)
+        values = G.values(ks / 2.0**40)
+        for k, value in zip(ks.tolist(), values.tolist()):
+            assert abs(value - float(cantor_oracle(Fraction(k, 2**40)))) <= 2.0**-28
 
     def test_symmetry_on_dyadic_grid(self):
         # G(x) + G(1 - x) = 1; dyadic x keeps 1 - x exactly representable
-        import numpy as np
-
-        rng = np.random.default_rng(7)
-        ks = rng.integers(1, 2**40, size=1000)
-        for k in ks:
-            x = float(k) / 2.0**40
-            assert abs(cantor_hat(x) + cantor_hat(1.0 - x) - 1.0) <= 2.0**-50
+        x = np.random.default_rng(7).integers(1, 2**40, size=1000) / 2.0**40
+        assert (np.abs(G.values(x) + G.values(1.0 - x) - 1.0) <= 2.0**-50).all()
 
     def test_monotone_on_grid(self):
-        import numpy as np
-
-        grid = np.linspace(0.0, 2.0, 10_000)
-        values = [cantor_hat(float(t)) for t in grid]
-        assert all(a <= b for a, b in zip(values, values[1:]))
+        values = G.values(np.linspace(0.0, 2.0, 10_000))
+        assert (values[:-1] <= values[1:]).all()
 
 
 class TestEvaluate:
+    @staticmethod
+    def at(node, t):
+        return FunctionSpec.from_node(node)(t)
+
     def test_identity(self):
-        assert evaluate(Var(), 7.0) == 7.0
+        assert self.at(Var(), 7.0) == 7.0
 
     def test_arithmetic(self):
         node = Sum(Product(Const(2.0), Var()), Const(1.0))  # 2t + 1
-        assert evaluate(node, 3.0) == 7.0
-        assert evaluate(Difference(Var(), Const(1.0)), 0.5) == -0.5
-        assert evaluate(Power(Var(), 0.5), 4.0) == 2.0
-        assert evaluate(Min(Var(), Const(1.0)), 5.0) == 1.0
-        assert evaluate(Max(Var(), Const(1.0)), 5.0) == 5.0
+        assert self.at(node, 3.0) == 7.0
+        assert self.at(Difference(Var(), Const(1.0)), 0.5) == -0.5
+        assert self.at(Power(Var(), 0.5), 4.0) == 2.0
+        assert self.at(Min(Var(), Const(1.0)), 5.0) == 1.0
+        assert self.at(Max(Var(), Const(1.0)), 5.0) == 5.0
 
     def test_step_above(self):
         node = StepAbove(3.0)
-        assert evaluate(node, 0.0) == 0.0
-        assert evaluate(node, 1e-300) == 3.0
+        assert self.at(node, 0.0) == 0.0
+        assert self.at(node, 1e-300) == 3.0
 
     def test_piecewise_dispatch(self):
         node = Piecewise(
@@ -142,22 +218,46 @@ class TestEvaluate:
                 Piece(1.0, math.inf, True, False, Const(5.0)),
             )
         )
-        assert evaluate(node, 0.5) == 0.5
-        assert evaluate(node, 1.0) == 5.0
-        assert evaluate(node, 100.0) == 5.0
+        assert self.at(node, 0.5) == 0.5
+        assert self.at(node, 1.0) == 5.0
+        assert self.at(node, 100.0) == 5.0
 
     def test_overflow_saturates(self):
-        assert evaluate(Power(Var(), 100.0), 2.0**60) == math.inf
+        assert self.at(Power(Var(), 100.0), 2.0**60) == math.inf
 
     def test_spec_callable_rejects_negative(self):
         spec = FunctionSpec.from_node(Var())
         with pytest.raises(NegativeInput):
             spec(-1.0)
 
+    @pytest.mark.parametrize("node", [Var(), CantorHat(), Const(1.0), StepAbove(1.0),
+                                      Piecewise((Piece(0.0, math.inf, True, False, Const(1.0)),))])
+    def test_nan_is_outside_the_domain(self, node):
+        spec = FunctionSpec.from_node(node)
+        message = r"^function specs are defined on \[0, inf\); got t = nan$"
+        with pytest.raises(NegativeInput, match=message):
+            spec(math.nan)
+        with pytest.raises(NegativeInput, match=message):
+            spec.values([1.0, math.nan])
+
+    def test_call_is_a_one_point_batch(self):
+        spec = FunctionSpec.from_node(Sum(CantorHat(), Power(Var(), 0.5)))
+        value = spec(0.37)
+        assert type(value) is float
+        assert _bits(value) == _bits(float(spec.values([0.37])[0]))
+
     def test_determinism_bit_for_bit(self):
         spec = FunctionSpec.from_node(Sum(CantorHat(), Power(Var(), 0.5)))
         values = [spec(0.37) for _ in range(5)]
         assert len(set(values)) == 1
+
+
+class TestFoldConstant:
+    def test_constant_folds(self):
+        assert fold_constant(Sum(Const(1.0), Power(Const(4.0), 0.5))) == 3.0
+
+    def test_inf_minus_inf_folds_to_nan(self):
+        assert math.isnan(fold_constant(_NAN))
 
 
 class TestAnalyses:
@@ -171,7 +271,7 @@ class TestAnalyses:
         # t + step_above(1): limit 1, value at 0 is 0
         node = Sum(Var(), StepAbove(1.0))
         assert right_limit_at_zero(node) == 1.0
-        assert evaluate(node, 0.0) == 0.0
+        assert FunctionSpec.from_node(node)(0.0) == 0.0
 
     def test_right_limit_piecewise_skips_degenerate_piece(self):
         node = Piecewise(
@@ -181,13 +281,6 @@ class TestAnalyses:
             )
         )
         assert right_limit_at_zero(node) == 1.0
-
-    def test_limit_at_infinity(self):
-        assert limit_at_infinity(Var()) == math.inf
-        assert limit_at_infinity(CantorHat()) == 1.0
-        assert limit_at_infinity(Min(Var(), Const(100.0))) == 100.0
-        assert limit_at_infinity(Sum(Var(), CantorHat())) == math.inf
-        assert limit_at_infinity(Difference(Var(), Var())) is None
 
     def test_monotone_certificate(self):
         assert monotone_certified(Sum(Var(), Product(Var(), Var())))
@@ -212,7 +305,7 @@ class TestAnalyses:
 )
 def test_cantor_weakly_monotone(a, b):
     lo, hi = min(a, b), max(a, b)
-    assert cantor_hat(lo) <= cantor_hat(hi)
+    assert G(lo) <= G(hi)
 
 
 def test_to_text_round_trips_structure():
@@ -274,6 +367,12 @@ def _scalar(fn, t):
 
 _NAN = Difference(Const(math.inf), Const(math.inf))
 _NEGATIVE_ZERO = Product(Const(0.0), Difference(Var(), Const(2.0)))  # -0.0 for t < 2
+_TWO_PIECES = Piecewise((Piece(0.0, 1.0, True, False, Var()),
+                         Piece(1.0, math.inf, True, False, Const(2.0))))
+
+
+def _sqrt_t_minus(c):
+    return Power(Difference(Var(), Const(c)), 0.5)  # undefined for t < c
 
 
 @pytest.mark.parametrize("closed_lower", [True, False])
@@ -296,21 +395,30 @@ class TestEvaluateMany:
     @example(Max(Const(1.0), _NAN), [1.0])
     @example(Min(Const(0.0), _NEGATIVE_ZERO), [1.0])
     @example(Max(_NEGATIVE_ZERO, Const(0.0)), [1.0])
+    # the left operand's error comes first; no piece covers t = inf
+    @example(Sum(_sqrt_t_minus(2.0), _sqrt_t_minus(3.0)), [1.0, 2.5])
+    @example(Sum(Var(), _TWO_PIECES), [math.inf, 1.0])
     def test_bit_identical_to_evaluate(self, node, ts):
-        values, undefined = evaluate_many(node, np.array(ts))
+        # the walker's domain is [0, inf): a FunctionSpec rejects any other
+        # t before it reads the walk, so such points are walked, not compared
+        values, errors = walk(node, np.array(ts))
         for k, t in enumerate(ts):
+            if not t >= 0:
+                continue
             expected, exc = _scalar(lambda x: evaluate(node, x), t)
-            assert bool(undefined[k]) == (exc is not None), (to_text(node), t, exc)
+            got = errors.get(k)
+            assert type(got) is type(exc) and str(got) == str(exc), (to_text(node), t, exc)
             if exc is None:
                 assert _bits(values[k]) == _bits(expected), (to_text(node), t)
 
     @settings(max_examples=300)
     @given(_trees, _PROBES)
+    @example(Sum(_sqrt_t_minus(2.0), _sqrt_t_minus(3.0)), [4.0, 1.0, 2.5])
     def test_values_raise_as_the_first_failing_call(self, node, ts):
         spec = FunctionSpec.from_node(node)
         expected, exc = [], None
         for t in ts:
-            value, exc = _scalar(spec, t)
+            value, exc = _scalar(lambda x: scalar_call(spec, x), t)
             if exc is not None:
                 break
             expected.append(value)
@@ -325,15 +433,15 @@ class TestEvaluateMany:
     def test_power_matches_math_pow_to_the_bit(self, exponent):
         # np.power differs from math.pow in the last ulp on ~5% of these
         ts = 2.0 ** np.random.default_rng(0).uniform(-30.0, 30.0, 4096)
-        values, undefined = evaluate_many(Power(Var(), exponent), ts)
-        assert not undefined.any()
+        values, errors = walk(Power(Var(), exponent), ts)
+        assert not errors
         assert values.tobytes() == np.array([math.pow(t, exponent) for t in ts.tolist()]).tobytes()
 
     def test_cantor_matches_the_scalar_digit_loop(self):
         ts = np.concatenate([np.random.default_rng(0).uniform(0.0, 1.2, 4096),
                              [k / 3.0**6 for k in range(3**6 + 1)]])
-        values, undefined = evaluate_many(CantorHat(), ts)
-        assert not undefined.any()
+        values, errors = walk(CantorHat(), ts)
+        assert not errors
         assert values.tobytes() == np.array([cantor_hat(t) for t in ts.tolist()]).tobytes()
 
     def test_values_keep_the_shape(self):
@@ -341,7 +449,7 @@ class TestEvaluateMany:
         assert spec.values(np.array([[1.0, 4.0], [9.0, 16.0]])).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_swallowed_domain_error_still_raises(self):
-        # min(1, nan) is 1, so only the tracked mask can tell that pow failed
+        # min(1, nan) is 1, so only the recorded error can tell that pow failed
         spec = FunctionSpec.from_node(Min(Const(1.0), Power(Difference(Var(), Const(2.0)), 0.5)))
         assert spec.values(np.array([3.0])).tolist() == [1.0]
         with pytest.raises(UndefinedValue, match=r"pow\(-1\.0, 0\.5\)"):

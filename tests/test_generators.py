@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import subspace
 from ultrapreserve.generators import (
     DuplicatePoint,
     DuplicateValue,
@@ -25,7 +26,6 @@ from ultrapreserve.spaces import (
     distance_spectrum,
     is_ultrametric,
     min_positive_distance,
-    subspace,
 )
 
 

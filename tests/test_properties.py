@@ -1,14 +1,12 @@
 """Analytic property checks: amenability, monotonicity, subadditivity,
-continuity at zero, divergence, and the positive infimum report."""
+continuity at zero, and the positive infimum report."""
 
 import pytest
 
 from ultrapreserve.parser import parse_function_spec
 from ultrapreserve.properties import (
-    Status,
     check_amenable,
     check_continuous_at_zero,
-    check_diverges_at_infinity,
     check_increasing,
     check_subadditive,
     inf_on_positive,
@@ -115,26 +113,6 @@ class TestContinuousAtZero:
         assert v.fails and v.witness["right_limit"] == 1.0
 
 
-class TestDivergesAtInfinity:
-    def test_identity_diverges(self):
-        v = check_diverges_at_infinity(spec("t"))
-        assert v.holds and v.exact
-
-    def test_cantor_bounded(self):
-        v = check_diverges_at_infinity(spec("cantor_hat(t)"))
-        assert v.fails and v.witness["limit_at_inf"] == 1.0
-        assert verify_witness(spec("cantor_hat(t)"), v.witness)
-
-    def test_clamp_detected_symbolically(self):
-        v = check_diverges_at_infinity(spec("min(t, 100)"))
-        assert v.fails and v.exact and v.witness["limit_at_inf"] == 100.0
-
-    def test_unknown_form_is_probed(self):
-        # t - t is identically 0: no symbolic limit, probes stay bounded
-        v = check_diverges_at_infinity(spec("t - t"))
-        assert v.status is Status.UNDETERMINED
-
-
 class TestInfOnPositive:
     def test_step_above_exact(self):
         assert inf_on_positive(spec("step_above(1)")).estimate == 1.0
@@ -147,6 +125,11 @@ class TestInfOnPositive:
     def test_piecewise_left_endpoint(self):
         bound = inf_on_positive(spec("piecewise { [0,0]: 0; (0,inf): t + 0.5 }"))
         assert bound.estimate == 0.5 and bound.exact
+
+    def test_piecewise_inner_left_endpoint(self):
+        # the infimum of the second piece is its value at t = 1
+        bound = inf_on_positive(spec("piecewise { [0,1): t + 3; [1,inf): pow(t, 0.5) }"))
+        assert bound.estimate == 1.0 and bound.exact
 
     def test_non_monotone_is_numeric(self):
         bound = inf_on_positive(spec("max(0, t - 1)"))

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ultrametric_spaces
+from conftest import subspace, ultrametric_spaces
 from ultrapreserve.expr import NegativeInput, UndefinedValue
 from ultrapreserve.generators import (
     dplus_space,
@@ -48,7 +48,6 @@ from ultrapreserve.spaces import (
     is_ultrametric,
     min_positive_distance,
     minimum_covering_number,
-    subspace,
     validate_space,
     _equals_subdominant,
     _first_violating_triple,
@@ -425,6 +424,15 @@ class TestApplyFunction:
         with pytest.raises(NotAmenableOnSpectrum):
             apply_function(sides(1, 1, 1), parse_function_spec("t + 1"))
 
+    def test_origin_decides_before_the_spectrum(self):
+        # 0 joins the spectrum's batch, but its failure still raises first
+        space = triangle_isosceles(0.5, 1.5)
+        f = parse_function_spec("piecewise { [0,1): t + 1; [1,inf): pow(t - 2, 0.5) }")
+        with pytest.raises(NotAmenableOnSpectrum, match=r"^f\(0\.0\) = 1\.0: "):
+            apply_function(space, f)
+        with pytest.raises(UndefinedValue, match=r"^pow\(-1\.0, 0\.5\) has no real value$"):
+            apply_function(space, parse_function_spec("pow(t - 1, 0.5)"))
+
     @given(ultrametric_spaces(max_points=12), st.sampled_from(APPLY_SPECS))
     def test_bit_identical_to_one_scalar_call_per_value(self, space, text):
         f = parse_function_spec(text)
@@ -481,6 +489,11 @@ class TestCoveringNumbers:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             covering_number(sides(1, 2, 2), 0.0)
+
+    @pytest.mark.parametrize("count", [covering_number, minimum_covering_number])
+    def test_nan_eps_is_not_positive(self, count):
+        with pytest.raises(ValueError, match=r"^eps must be positive, got nan$"):
+            count(sides(1, 2, 2), float("nan"))
 
     def test_brute_force_cap(self):
         space = tbu_noncompact_truncation(13, 0.5)[0]
