@@ -4,7 +4,8 @@
 For each size n, a `random_ultrametric` matrix is written to a temporary JSON
 file and timed in-process through `cli.main` (`verify M`, `transform M f`,
 stdout discarded), then layer by layer: `validate_space`, `is_ultrametric`,
-`is_metric`, `apply_function` and the JSON output of the transformed matrix.
+`is_metric`, `apply_function` and the JSON text of the transformed matrix
+(`matrix_io.space_json_chunks`, the streaming writer behind `transform`).
 Each figure is the median of --repeats runs, in milliseconds.
 
 Usage:
@@ -14,7 +15,6 @@ Usage:
 
 import argparse
 import contextlib
-import json
 import os
 import statistics
 import tempfile
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from ultrapreserve.cli import main as cli_main
 from ultrapreserve.generators import random_ultrametric
-from ultrapreserve.matrix_io import save_space, space_to_dict
+from ultrapreserve.matrix_io import save_space, space_json_chunks
 from ultrapreserve.parser import parse_function_spec
 from ultrapreserve.spaces import apply_function, is_metric, is_ultrametric, validate_space
 
@@ -60,7 +60,7 @@ def ladder_row(n: int, function: str, seed: int, repeats: int, workdir: Path) ->
         "is_ultrametric": lambda: is_ultrametric(space),
         "is_metric": lambda: is_metric(space),
         "apply_function": lambda: apply_function(space, spec),
-        "json_output": lambda: json.dumps(space_to_dict(image), indent=2, allow_nan=False),
+        "json_output": lambda: "".join(space_json_chunks(image)),
     }
     return {name: median_ms(call, repeats) for name, call in layers.items()}
 

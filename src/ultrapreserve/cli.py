@@ -2,10 +2,13 @@
 
 Subcommands: classify, witness, transform, verify, embed, generate, suite.
 Exit codes are a stable contract: 0 pass, 1 usage/parse error, 2 fails with
-witness, 3 undetermined, 4 no witness found. All commands are deterministic
-given their inputs and seed; ULTRA_SEED is the seed fallback for the
-commands that take --seed. Each subcommand accepts only the options it reads.
-JSON output is strict: a document holding a non-finite number is an error.
+witness, 3 undetermined, 4 no witness found. Code 3 is reserved: no check
+returns an undetermined verdict today, so no command exits 3. All commands
+are deterministic given their inputs and seed; ULTRA_SEED is the seed
+fallback for the commands that take --seed. Each subcommand accepts only the
+options it reads. JSON output is strict: a document holding a non-finite
+number is an error. `transform` and `generate` stream their matrix through
+matrix_io's writers; the other commands write one json.dumps text.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .generators import (
     triangle_equilateral,
     triangle_isosceles,
 )
-from .matrix_io import load_space, space_to_csv, space_to_dict
+from .matrix_io import csv_chunks, json_chunks, load_space, space_json_chunks, write_chunks
 from .parser import parse_function_file, parse_function_spec
 from .properties import DEFAULT_SAMPLE_BUDGET, Status
 from .spaces import (
@@ -84,11 +87,16 @@ def _emit(doc, args, code: int = EXIT_OK) -> int:
     return code
 
 
-def _emit_text(text: str, args) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+def _emit_chunks(render, args) -> int:
+    """Write the JSON chunks of render() to --out or stdout and return 0;
+    render checks every number before the first chunk, so a non-finite one
+    writes nothing and fails as in _emit."""
+    try:
+        chunks = render()
+    except ValueError:
+        return _fail("output holds a non-finite number, which strict JSON cannot carry")
+    write_chunks(chunks, args.out)
+    return EXIT_OK
 
 
 def _load_specs(argument: str) -> list[FunctionSpec]:
@@ -181,10 +189,11 @@ def cmd_transform(args) -> int:
         "spectrum_after": list(distance_spectrum(image)),
     }
     if args.format == "csv":
-        _emit_text(space_to_csv(image), args)
+        write_chunks(csv_chunks(image), args.out)
         print(json.dumps(summary, indent=2), file=sys.stderr)
         return EXIT_OK
-    return _emit({"matrix": space_to_dict(image), "summary": summary}, args)
+    doc = {"matrix": {"labels": list(image.labels), "dist": None}, "summary": summary}
+    return _emit_chunks(lambda: json_chunks(doc, image.dist), args)
 
 
 def cmd_verify(args) -> int:
@@ -268,9 +277,9 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.format == "csv":
-        _emit_text(space_to_csv(space), args)
+        write_chunks(csv_chunks(space), args.out)
         return EXIT_OK
-    return _emit(space_to_dict(space, provenance=prov), args)
+    return _emit_chunks(lambda: space_json_chunks(space, prov), args)
 
 
 def cmd_suite(args) -> int:

@@ -289,6 +289,20 @@ def apply_function(space: FiniteSemimetricSpace, f: FunctionSpec) -> FiniteSemim
     return FiniteSemimetricSpace(space.labels, out)
 
 
+def _check_radius(space: FiniteSemimetricSpace, eps: float) -> None:
+    """Raise ValueError unless eps > 0 and every ball of radius eps covers
+    its own centre (d(i, i) <= eps, which a zero diagonal gives)."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    uncovered = np.flatnonzero(~(np.diagonal(space.dist) <= eps))
+    if uncovered.size:
+        i = int(uncovered[0])
+        raise ValueError(
+            f"diagonal entry ({i},{i}) = {float(space.dist[i, i])!r} exceeds eps = {eps!r}: "
+            "the ball around that point does not cover it"
+        )
+
+
 def covering_number(space: FiniteSemimetricSpace, eps: float) -> int:
     """Size of a greedy net of closed eps-balls.
 
@@ -296,8 +310,7 @@ def covering_number(space: FiniteSemimetricSpace, eps: float) -> int:
     point. For ultrametric spaces closed balls of a fixed radius partition
     the space, so the greedy net is minimum.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_radius(space, eps)
     d = space.dist
     covered = np.zeros(len(space), dtype=bool)
     count = 0
@@ -312,8 +325,7 @@ def minimum_covering_number(
     space: FiniteSemimetricSpace, eps: float, max_points: int = BRUTE_NET_MAX_POINTS
 ) -> int:
     """Exhaustive minimum net size over all center subsets (small n only)."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_radius(space, eps)
     n = len(space)
     if n > max_points:
         raise TooLarge(f"brute-force net search refused for n = {n} > {max_points}")

@@ -125,6 +125,22 @@ class TestTransformVerify:
         assert doc["summary"]["was_ultrametric"] and not doc["summary"]["is_ultrametric"]
         assert doc["summary"]["spectrum_after"] == [3.0, 5.0]
 
+    @pytest.mark.parametrize("argv", [
+        ["transform", "M", "pow(t, 0.5)"],
+        ["transform", "M", "pow(t, 0.5)", "--format", "csv"],
+        ["generate", "random", "--n", "9", "--seed", "2"],
+        ["generate", "random", "--n", "9", "--seed", "2", "--format", "csv"],
+    ])
+    def test_out_file_and_stdout_carry_the_same_bytes(self, capsys, tmp_path, matrix_123, argv):
+        argv = [matrix_123 if a == "M" else a for a in argv]
+        path = tmp_path / "out.txt"
+        assert main(argv) == 0
+        printed = capsys.readouterr()
+        assert main([*argv, "--out", str(path)]) == 0
+        written = capsys.readouterr()
+        assert written.out == "" and written.err == printed.err
+        assert path.read_bytes() == printed.out.encode()
+
     def test_not_amenable_exits_one(self, capsys, matrix_122):
         code, _ = run(capsys, "transform", matrix_122, "max(0, t - 1)")
         assert code == 1

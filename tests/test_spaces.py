@@ -495,6 +495,15 @@ class TestCoveringNumbers:
         with pytest.raises(ValueError, match=r"^eps must be positive, got nan$"):
             count(sides(1, 2, 2), float("nan"))
 
+    @pytest.mark.parametrize("count", [covering_number, minimum_covering_number])
+    def test_diagonal_above_eps_is_rejected(self, count):
+        # no ball of radius 0.5 covers its own centre, so no net exists
+        space = FiniteSemimetricSpace(("a", "b"), [[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^diagonal entry \(0,0\) = 1\.0 exceeds eps = 0\.5"):
+            count(space, 0.5)
+        assert count(space, 1.0) == 2  # each ball covers its centre only
+        assert count(space, 2.0) == 1
+
     def test_brute_force_cap(self):
         space = tbu_noncompact_truncation(13, 0.5)[0]
         with pytest.raises(TooLarge):
