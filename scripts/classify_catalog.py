@@ -12,6 +12,7 @@ from pathlib import Path
 
 from ultrapreserve.classify import classification_report
 from ultrapreserve.parser import parse_function_file, parse_function_spec
+from ultrapreserve.witnesses import witness_not_ultrametric_preserving
 
 CATALOG = [
     "t",                                            # identity: everything holds
@@ -26,8 +27,7 @@ CATALOG = [
 
 
 def short(verdict) -> str:
-    mark = {"holds": "yes", "fails_with_witness": "NO", "undetermined": "?"}
-    tag = mark[verdict.status.value]
+    tag = "yes" if verdict.holds else "NO"
     return f"{tag}{'*' if verdict.exact else ''}"
 
 
@@ -45,11 +45,12 @@ def main() -> int:
 
     cols = ("ultra", "strong", "metric", "triplet", "minmax", "inf>0")
     width = max(len(s.source) for s in specs)
-    print(f"{'function':<{width}}  " + "  ".join(f"{c:>7}" for c in cols))
-    print("-" * (width + 2 + 9 * len(cols)))
+    print(f"{'function':<{width}}  " + "  ".join(f"{c:>7}" for c in cols) + "  witness")
+    print("-" * (width + 2 + 9 * len(cols) + 20))
     for spec in specs:
         r = classification_report(spec, seed=args.seed, budget=args.budget)
         bound = f"{r.inf_on_positive.estimate:g}{'*' if r.inf_on_positive.exact else ''}"
+        cert = witness_not_ultrametric_preserving(spec)
         row = (
             short(r.ultrametric_preserving),
             short(r.strongly_preserving),
@@ -58,8 +59,16 @@ def main() -> int:
             short(r.minmax_equation),
             bound,
         )
-        print(f"{spec.source:<{width}}  " + "  ".join(f"{c:>7}" for c in row))
-    print("\n'*' marks verdicts decided by a structural certificate (exact).")
+        print(
+            f"{spec.source:<{width}}  " + "  ".join(f"{c:>7}" for c in row)
+            + f"  {cert.kind if cert else '-'}"
+        )
+    print(
+        "\n'*' marks exact results: a 'yes*' or an inf>0 bound is decided by a"
+        " structural\ncertificate, and every 'NO*' carries a witness that"
+        " re-evaluates to a violation.\n'witness' is the certificate kind of"
+        " `witness --mode pu`, or '-' when there is none."
+    )
     return 0
 
 

@@ -56,8 +56,6 @@ def combine_verdicts(*verdicts: PropertyVerdict) -> PropertyVerdict:
     for v in verdicts:
         if v.fails:
             return PropertyVerdict(Status.FAILS, v.witness, budget, v.exact, seed)
-    if any(v.status is Status.UNDETERMINED for v in verdicts):
-        return PropertyVerdict(Status.UNDETERMINED, None, budget, False, seed)
     exact = all(v.exact for v in verdicts)
     return PropertyVerdict(Status.HOLDS, None, budget, exact, seed)
 

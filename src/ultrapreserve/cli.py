@@ -2,8 +2,8 @@
 
 Subcommands: classify, witness, transform, verify, embed, generate, suite.
 Exit codes are a stable contract: 0 pass, 1 usage/parse error, 2 fails with
-witness, 3 undetermined, 4 no witness found. Code 3 is reserved: no check
-returns an undetermined verdict today, so no command exits 3. All commands
+witness, 3 undetermined, 4 no witness found. Code 3 is reserved: every
+verdict holds or fails with a witness, so no command exits 3. All commands
 are deterministic given their inputs and seed; ULTRA_SEED is the seed
 fallback for the commands that take --seed. Each subcommand accepts only the
 options it reads. JSON output is strict: a document holding a non-finite
@@ -33,7 +33,7 @@ from .generators import (
 )
 from .matrix_io import csv_chunks, json_chunks, load_space, space_json_chunks, write_chunks
 from .parser import parse_function_file, parse_function_spec
-from .properties import DEFAULT_SAMPLE_BUDGET, Status
+from .properties import DEFAULT_SAMPLE_BUDGET
 from .spaces import (
     SpaceValidationError,
     apply_function,
@@ -58,7 +58,6 @@ from .witnesses import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILS = 2
-EXIT_UNDETERMINED = 3
 EXIT_NO_WITNESS = 4
 
 
@@ -101,7 +100,11 @@ def _emit_chunks(render, args) -> int:
 
 def _load_specs(argument: str) -> list[FunctionSpec]:
     path = Path(argument)
-    if path.exists():
+    try:
+        is_file = path.exists()
+    except OSError:  # a spec longer than a file name can be
+        is_file = False
+    if is_file:
         return parse_function_file(path.read_text())
     return [parse_function_spec(argument)]
 
@@ -141,12 +144,8 @@ def cmd_classify(args) -> int:
     except FunctionSpecError as exc:
         return _fail(str(exc))
     doc = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
-    statuses = [r.ultrametric_preserving.status for r in reports]
-    if any(s is Status.FAILS for s in statuses):
-        return _emit(doc, args, EXIT_FAILS)
-    if any(s is Status.UNDETERMINED for s in statuses):
-        return _emit(doc, args, EXIT_UNDETERMINED)
-    return _emit(doc, args)
+    code = EXIT_FAILS if any(r.ultrametric_preserving.fails for r in reports) else EXIT_OK
+    return _emit(doc, args, code)
 
 
 def cmd_witness(args) -> int:

@@ -1,13 +1,13 @@
 """Analytic property probes for function specs.
 
-Verdicts are tri-state. `Holds` with ``exact=True`` means a structural
-certificate decided the property; otherwise `Holds` only means "no violation
-within the probe budget". `FailsWithWitness` always carries a witness that
-re-evaluates to a genuine violation, so a failing verdict is exact by
-construction. Sampled checks take an explicit seed, recorded in the verdict
-for replay; violation selection is order-independent (fixed probes first,
-then the lexicographically smallest sampled violation), so samples may be
-evaluated concurrently.
+A verdict holds or fails with a witness. `Holds` with ``exact=True`` means
+a structural certificate decided the property; otherwise `Holds` only means
+"no violation within the probe budget". `FailsWithWitness` always carries a
+witness that re-evaluates to a genuine violation, so a failing verdict is
+exact by construction. Sampled checks take an explicit seed, recorded in the
+verdict for replay; violation selection is order-independent (fixed probes
+first, then the lexicographically smallest sampled violation), so samples may
+be evaluated concurrently.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ BREAKPOINT_OFFSET = 2.0**-40
 class Status(str, enum.Enum):
     HOLDS = "holds"
     FAILS = "fails_with_witness"
-    UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
@@ -79,24 +78,25 @@ class InfimumBound:
 
 def probe_points(spec: FunctionSpec, include_zero: bool = False) -> np.ndarray:
     """Sorted probe set: PROBE_GRID plus piece breakpoints +- 2**-40."""
-    pts = set(PROBE_GRID.tolist())
+    extra = [0.0] if include_zero else []
     for b in breakpoints(spec.root):
         for candidate in (b - BREAKPOINT_OFFSET, b, b + BREAKPOINT_OFFSET):
             if candidate > 0 and math.isfinite(candidate):
-                pts.add(candidate)
-    if include_zero:
-        pts.add(0.0)
-    return np.array(sorted(pts))
+                extra.append(candidate)
+    return np.unique(np.concatenate([PROBE_GRID, extra]))
 
 
 def check_amenable(spec: FunctionSpec) -> PropertyVerdict:
-    """f(0) = 0 and f > 0 on (0, inf)."""
+    """f(0) = 0 and f > 0 on (0, inf).
+
+    The grid runs even when a positivity certificate applies: the certificate
+    reasons over the reals, and a value that underflows to 0 in floats still
+    fails. A grid-clean `holds` is exact when the certificate applies.
+    """
     f0 = spec(0.0)
     if f0 != 0.0:
         witness = {"t": 0.0, "f_t": f0}
         return PropertyVerdict(Status.FAILS, witness, 1, exact=True)
-    if positive_certified(spec.root):
-        return PropertyVerdict(Status.HOLDS, None, 1, exact=True)
     grid = probe_points(spec)
     values = spec.values(grid)
     zeros = np.flatnonzero(values <= 0.0)
@@ -105,23 +105,31 @@ def check_amenable(spec: FunctionSpec) -> PropertyVerdict:
         witness = {"t": float(grid[k]), "f_t": float(values[k])}
         # the budget counts f(0) and the grid points up to the witness
         return PropertyVerdict(Status.FAILS, witness, int(k) + 2, exact=True)
-    return PropertyVerdict(Status.HOLDS, None, len(grid) + 1, exact=False)
+    return PropertyVerdict(
+        Status.HOLDS, None, len(grid) + 1, exact=positive_certified(spec.root)
+    )
 
 
 def check_increasing(spec: FunctionSpec) -> PropertyVerdict:
-    """Monotone nondecreasing on [0, inf) ("increasing" in the weak sense)."""
+    """Monotone nondecreasing on [0, inf) ("increasing" in the weak sense).
+
+    The witness is the first inversion on the grid: the smallest t1 with any
+    later, smaller value, paired with the first such t2.
+    """
     if monotone_certified(spec.root):
         return PropertyVerdict(Status.HOLDS, None, 0, exact=True)
     grid = probe_points(spec, include_zero=True)
     values = spec.values(grid)
-    drops = np.flatnonzero(values[:-1] > values[1:])
-    if drops.size:
-        k = drops[0]
+    suffix_min = np.minimum.accumulate(values[::-1])[::-1]  # min(values[k:])
+    inverted = np.flatnonzero(values[:-1] > suffix_min[1:])
+    if inverted.size:
+        i = inverted[0]
+        j = i + 1 + np.flatnonzero(values[i + 1:] < values[i])[0]
         witness = {
-            "t1": float(grid[k]),
-            "f_t1": float(values[k]),
-            "t2": float(grid[k + 1]),
-            "f_t2": float(values[k + 1]),
+            "t1": float(grid[i]),
+            "f_t1": float(values[i]),
+            "t2": float(grid[j]),
+            "f_t2": float(values[j]),
         }
         return PropertyVerdict(Status.FAILS, witness, len(grid), exact=True)
     return PropertyVerdict(Status.HOLDS, None, len(grid), exact=False)
@@ -263,10 +271,11 @@ def verify_witness(spec: FunctionSpec, witness: dict) -> bool:
         image = (witness["f_p"], witness["f_q"], witness["f_l"])
         if tuple(spec(x) for x in args) != image:
             return False
-        return any(
-            check(*args) and not check(*image)
-            for check in (triangle_triplet_holds, minmax_equation_holds)
-        )
+        with np.errstate(all="ignore"):  # an overflowing sum decides as inf
+            return any(
+                check(*args) and not check(*image)
+                for check in (triangle_triplet_holds, minmax_equation_holds)
+            )
     if "t" in witness:  # amenability
         return spec(witness["t"]) == witness["f_t"] and (
             (witness["t"] == 0.0 and witness["f_t"] != 0.0)

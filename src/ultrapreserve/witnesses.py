@@ -1,10 +1,12 @@
 """Counterexample synthesis and three-point universal embeddings.
 
-A transform that fails to preserve ultrametrics already fails on a three-point
-space, and the failure is always one of three shapes: a planted zero (an
-equilateral triangle whose image loses positivity), an inversion (an
-isosceles triangle whose image breaks the strong triangle inequality) or a
-nonzero f(0) (an equilateral triangle whose image has a nonzero diagonal). A
+A transform that fails to preserve ultrametrics already fails on a space of
+at most three points, and the failure is always one of three shapes: a
+planted zero (an equilateral triangle whose image loses positivity), an
+inversion (an isosceles triangle whose image breaks the strong triangle
+inequality) or a nonzero f(0) (the one-point space, whose image has a
+nonzero diagonal). The certificate renders the witness of classify's
+ultrametric-preserving verdict, so `witness` and `classify` decide alike. A
 transform that preserves ultrametrics but not the topology is bounded away
 from zero on (0, inf); pushing the geometric level family through it makes
 the covering number at a fixed scale grow linearly with the truncation size
@@ -32,7 +34,7 @@ from .generators import (
     triangle_isosceles,
 )
 from .matrix_io import space_to_dict
-from .properties import inf_on_positive, probe_points
+from .properties import inf_on_positive
 from .spaces import (
     FiniteSemimetricSpace,
     NonpositiveOffDiagonal,
@@ -95,71 +97,58 @@ class WitnessCertificate:
 
 
 def witness_not_ultrametric_preserving(spec: FunctionSpec) -> Optional[WitnessCertificate]:
-    """Search the shared probe grid for a 3-point space whose image under f
-    is not ultrametric.
+    """Render the failing ultrametric-preserving verdict of `classify` as a
+    space of at most three points whose image under f is not ultrametric.
 
-    Zeros first (smallest c with f(c) <= 0 wins), then the lexicographically
-    first inversion (c1, c2): the smallest c1 with a later, smaller value,
-    paired with the first such c2. When the grid holds neither, a nonzero
-    f(0) still breaks the image: it lands on the diagonal. Returns None when
-    f(0) = 0 as well.
+    A zero f(t) <= 0 at t > 0 maps the equilateral triangle of side t; an
+    inversion t1 < t2 with f(t1) > f(t2) maps the isosceles triangle
+    (t1, t2, t2); a nonzero f(0) lands on the diagonal of the one-point
+    space. An inversion from t1 = 0 with f(0) = 0 has f(t2) < 0, a zero at
+    t2. Returns None exactly when the verdict holds.
     """
-    grid = probe_points(spec)
-    values = spec.values(grid)
-
-    zeros = np.flatnonzero(values <= 0.0)
-    if zeros.size:
-        c, fc = float(grid[zeros[0]]), float(values[zeros[0]])
-        violation = PositivityViolation(0, 1, fc)
-        return _equilateral_image(spec, "equilateral_zero", c, 0.0, fc, violation)
-
-    suffix_min = np.minimum.accumulate(values[::-1])[::-1]  # min(values[k:])
-    inverted = np.flatnonzero(values[:-1] > suffix_min[1:])
-    if not inverted.size:
-        f0 = spec(0.0)
-        if f0 == 0.0:
-            return None
-        # side c: the largest grid point <= 1 whose image is finite, so the
-        # certificate serializes; 1 itself unless f(1) overflows
-        finite = np.flatnonzero((grid <= 1.0) & np.isfinite(values))
-        k = finite[-1] if finite.size else np.searchsorted(grid, 1.0)
-        c, fc = float(grid[k]), float(values[k])
-        violation = {"type": "nonzero_diagonal", "indices": [0, 0], "value": f0}
-        return _equilateral_image(spec, "nonzero_diagonal", c, f0, fc, violation)
-    i = inverted[0]
-    j = i + 1 + np.flatnonzero(values[i + 1:] < values[i])[0]
-    c1, c2, f1, f2 = float(grid[i]), float(grid[j]), float(values[i]), float(values[j])
-    before = triangle_isosceles(c1, c2)
-    after = FiniteSemimetricSpace(
-        before.labels, [[0.0, f2, f1], [f2, 0.0, f2], [f1, f2, 0.0]]
-    )
-    ok, violation = is_ultrametric(after)
-    if ok:
-        raise RuntimeError("inversion image unexpectedly ultrametric")
+    verdict = classify_ultrametric_preserving(spec)
+    if verdict.holds:
+        return None
+    w = verdict.witness
+    if "t" in w:  # amenability: f(0) != 0, or a zero at t > 0
+        t, ft = w["t"], w["f_t"]
+    elif w["t1"] > 0.0:
+        c1, c2, f1, f2 = w["t1"], w["t2"], w["f_t1"], w["f_t2"]
+        before = triangle_isosceles(c1, c2)
+        after = FiniteSemimetricSpace(
+            before.labels, [[0.0, f2, f1], [f2, 0.0, f2], [f1, f2, 0.0]]
+        )
+        return WitnessCertificate(
+            kind="isosceles_inversion",
+            function=spec.source,
+            space_before=before,
+            space_after=after,
+            violation=is_ultrametric(after)[1],
+            parameters={"c1": c1, "c2": c2},
+        )
+    elif w["f_t1"] != 0.0:  # an inversion from f(0) != 0
+        t, ft = 0.0, w["f_t1"]
+    else:  # an inversion from f(0) = 0 (or -0.0) reaches f(t2) < 0
+        t, ft = w["t2"], w["f_t2"]
+    if t == 0.0:
+        before = FiniteSemimetricSpace(("x1",), [[0.0]])
+        return WitnessCertificate(
+            kind="nonzero_diagonal",
+            function=spec.source,
+            space_before=before,
+            space_after=FiniteSemimetricSpace(before.labels, [[ft]]),
+            violation={"type": "nonzero_diagonal", "indices": [0, 0], "value": ft},
+            parameters={},
+        )
+    before = triangle_equilateral(t)
+    after = FiniteSemimetricSpace(before.labels, [[0.0, ft, ft], [ft, 0.0, ft], [ft, ft, 0.0]])
     return WitnessCertificate(
-        kind="isosceles_inversion",
+        kind="equilateral_zero",
         function=spec.source,
         space_before=before,
         space_after=after,
-        violation=violation,
-        parameters={"c1": c1, "c2": c2},
-    )
-
-
-def _equilateral_image(spec, kind, c, diagonal, side, violation) -> WitnessCertificate:
-    """Certificate mapping the equilateral triangle of side c to the matrix
-    with `diagonal` on the diagonal and `side` off it."""
-    before = triangle_equilateral(c)
-    after = FiniteSemimetricSpace(
-        before.labels, [[diagonal, side, side], [side, diagonal, side], [side, side, diagonal]]
-    )
-    return WitnessCertificate(
-        kind=kind,
-        function=spec.source,
-        space_before=before,
-        space_after=after,
-        violation=violation,
-        parameters={"c": c},
+        violation=PositivityViolation(0, 1, ft),
+        parameters={"c": t},
     )
 
 

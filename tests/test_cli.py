@@ -65,6 +65,11 @@ class TestClassify:
             code = main(["classify", OVERFLOW_AT_ONE])
         assert code == 2 and capsys.readouterr().err == ""
 
+    def test_spec_longer_than_a_file_name(self, capsys):
+        text = " + ".join(["t"] * 200)
+        code, out = run(capsys, "classify", text, "--budget", "16")
+        assert code == 0 and json.loads(out)["function"] == text
+
     def test_function_file_input(self, capsys, tmp_path):
         path = tmp_path / "funcs.txt"
         path.write_text("# two members\nt\ncantor_hat(t)\n")
@@ -87,8 +92,8 @@ class TestWitness:
         assert code == 0
         doc = json.loads(out)
         assert doc["kind"] == "nonzero_diagonal"
-        c = doc["parameters"]["c"]
-        assert c < 1.0 and doc["space_after"]["dist"][0][1] == spec(OVERFLOW_AT_ONE)(c)
+        assert doc["parameters"] == {}
+        assert doc["space_after"]["dist"] == [[spec(OVERFLOW_AT_ONE)(0.0)]]
         assert verify_certificate(witness_not_ultrametric_preserving(spec(OVERFLOW_AT_ONE)))
 
     def test_member_exits_four(self, capsys):

@@ -1,21 +1,50 @@
 """Analytic property checks: amenability, monotonicity, subadditivity,
 continuity at zero, and the positive infimum report."""
 
+import math
+
 import pytest
 
+from ultrapreserve.classify import classification_report
+from ultrapreserve.expr import breakpoints
 from ultrapreserve.parser import parse_function_spec
 from ultrapreserve.properties import (
+    BREAKPOINT_OFFSET,
+    PROBE_GRID,
     check_amenable,
     check_continuous_at_zero,
     check_increasing,
     check_subadditive,
     inf_on_positive,
+    probe_points,
     verify_witness,
 )
 
 
 def spec(text):
     return parse_function_spec(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t",
+        "cantor_hat(t)",
+        "piecewise { [0,1): t; [1,2): 5; [2,inf): 3 }",
+        "piecewise { [0,0]: 0; (0,inf): t + 1 }",
+        "piecewise { [0,1e-300): t; [1e-300,1e308): 2; [1e308,inf): 3 }",
+        "step_above(1) + piecewise { [0,1): t; [1,inf): 1 }",
+    ],
+)
+@pytest.mark.parametrize("include_zero", [False, True])
+def test_probe_points_is_the_sorted_probe_set(text, include_zero):
+    s = spec(text)
+    pts = set(PROBE_GRID.tolist()) | ({0.0} if include_zero else set())
+    for b in breakpoints(s.root):
+        for c in (b - BREAKPOINT_OFFSET, b, b + BREAKPOINT_OFFSET):
+            if c > 0 and math.isfinite(c):
+                pts.add(c)
+    assert probe_points(s, include_zero).tolist() == sorted(pts)
 
 
 class TestAmenable:
@@ -44,6 +73,20 @@ class TestAmenable:
         v = check_amenable(spec("t + 1"))
         assert v.fails and v.witness["t"] == 0.0 and v.witness["f_t"] == 1.0
 
+    def test_certificate_marks_a_grid_clean_holds_exact(self):
+        v = check_amenable(spec("t"))
+        assert v.budget_used == 242  # f(0) and the 241 grid points
+
+    @pytest.mark.parametrize(
+        "text", ["pow(step_above(1e-300), 1.5)", "1e-300 * 1e-300", "pow(1e-300, 1.5)"]
+    )
+    def test_certified_positive_that_underflows_fails(self, text):
+        # positive over the reals, 0 in floats at every t > 0
+        s = spec(text)
+        v = check_amenable(s)
+        assert v.fails and v.witness == {"t": 2.0**-60, "f_t": 0.0}
+        assert verify_witness(s, v.witness)
+
 
 class TestIncreasing:
     def test_identity_symbolic(self):
@@ -61,6 +104,15 @@ class TestIncreasing:
         assert v.witness["t1"] < v.witness["t2"]
         assert v.witness["f_t1"] > v.witness["f_t2"]
         assert verify_witness(s, v.witness)
+
+    def test_witness_is_the_first_inversion(self):
+        # the smallest t1 with any later, smaller value, and the first such t2
+        v = check_increasing(spec("piecewise { [0,1): t; [1,2): 5; [2,inf): 3 }"))
+        assert v.witness == {"t1": 1.0, "f_t1": 5.0, "t2": 2.0, "f_t2": 3.0}
+        v = check_increasing(spec("piecewise { [0,1): t; [1,2): 2; [2,inf): 0.25 }"))
+        assert v.witness == {  # t1 is the grid point 2**-1.5
+            "t1": 0.3535533905932738, "f_t1": 0.3535533905932738, "t2": 2.0, "f_t2": 0.25,
+        }
 
     def test_piecewise_monotone_holds_within_budget(self):
         v = check_increasing(spec("piecewise { [0,0]: 0; (0,inf): t + 1 }"))
@@ -150,3 +202,13 @@ class TestVerifyTripleWitness:
     def test_triple_whose_image_holds_rejected(self):
         w = {"p": 1.0, "q": 1.0, "l": 2.0, "f_p": 1.0, "f_q": 1.0, "f_l": 2.0}
         assert not verify_witness(spec("t"), w)
+
+    def test_overflowing_image_sum_decides_as_inf_without_a_warning(self):
+        # f_q = f_l = -inf: 2 * max and the image sum overflow
+        s = spec(
+            "min(1e+308 - t, cantor_hat(t) - 1e+308)"
+            " - max(step_above(0.0), t) * (step_above(1e+308) + t)"
+        )
+        w = classification_report(s, seed=0).minmax_equation.witness
+        assert w["f_q"] == w["f_l"] == -math.inf
+        assert verify_witness(s, w)

@@ -1,14 +1,19 @@
 """Counterexample certificates and three-point universal embeddings."""
 
+import contextlib
 import dataclasses
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_expr import _trees
 from ultrapreserve.classify import classify_ultrametric_preserving
 from ultrapreserve.cli import main
+from ultrapreserve.expr import FunctionSpec
 from ultrapreserve.generators import (
     dplus2_space,
     random_ultrametric,
@@ -16,6 +21,7 @@ from ultrapreserve.generators import (
 )
 from ultrapreserve.parser import parse_function_spec
 from ultrapreserve.spaces import (
+    FiniteSemimetricSpace,
     NonpositiveOffDiagonal,
     are_isometric_small,
     covering_number,
@@ -44,6 +50,8 @@ def spec(text):
 INVERSION = "piecewise { [0,1): t; [1,2): 5; [2,inf): 3 }"
 
 
+CASE_B = "pow(step_above(1e-300), 1.5)"  # f(t) = 1e-450 over the reals, 0 in floats
+CASE_C = "1 + min(1, t * 1e300) * 1e308 * 10"  # f(0) = 1, f = inf on every positive grid point
 AGREEMENT_SPECS = [
     *zero_family(),
     *inversion_family(),
@@ -54,7 +62,65 @@ AGREEMENT_SPECS = [
     spec("1"),
     spec("pow(t, 0)"),
     spec("step_above(1) + t + 0.5"),
+    spec("step_above(1)"),
+    spec("max(0, t - 1)"),
+    spec(INVERSION),
+    spec(CASE_B),
+    spec(CASE_C),
+    spec("1e-300 * 1e-300"),  # 1e-600 over the reals, 0 in floats
+    spec("pow(1e-300, 1.5)"),
+    spec("(t - 1) * step_above(1)"),  # f(0) = -0.0, then f(2**-60) = -1
+    spec("1 + t * 1e308 * 10"),
+    spec("max(0, 1 - t)"),
+    spec("t - 1"),
+    spec("2 - t"),
+    spec("0 - t"),
+    spec("1 + piecewise { [0,1): t; [1,2): 5; [2,inf): 3 }"),  # f(0) = 1, inverted at 1
+    spec("piecewise { [0,1): t; [1,2): 1; [2,inf): 0 - t }"),  # f(0) = 0, negative from 2
+    spec("piecewise { [0,1): t; [1,2): 5; [2,inf): 0 }"),  # an inversion down to zero
+    spec("t - (t - cantor_hat(t)) * (0.0 - t)"),
+    spec("step_above(1e+308) * step_above(1e+308)"),
+    spec(
+        "min(1e+308 - t, cantor_hat(t) - 1e+308)"
+        " - max(step_above(0.0), t) * (step_above(1e+308) + t)"
+    ),
 ]
+
+
+def _run(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _assert_witness_renders_classify(f: FunctionSpec) -> None:
+    """Where classify exits 0 or 2, `witness --mode pu` exits 4 or 0. An
+    emitted certificate re-verifies, maps its space by f entry by entry off
+    the diagonal, holds f(0) on the diagonal of the one-point space (0 on a
+    triangle's) and sits on the points of classify's verdict witness."""
+    classify_code, _ = _run("classify", f.source)
+    witness_code, out = _run("witness", f.source, "--mode", "pu")
+    if classify_code in (0, 2):
+        assert witness_code == {0: 4, 2: 0}[classify_code], f.source
+    if witness_code != 0:
+        return
+    w = classify_ultrametric_preserving(f).witness
+    cert = witness_not_ultrametric_preserving(f)
+    assert json.loads(out) == json.loads(json.dumps(cert.to_json()))
+    assert verify_certificate(cert), f.source
+    before, after = cert.space_before.dist, cert.space_after.dist
+    off = ~np.eye(len(before), dtype=bool)
+    assert np.array_equal(after[off], f.values(before[off])), f.source
+    if cert.kind == "nonzero_diagonal":
+        assert w.get("t", w.get("t1")) == 0.0 and cert.parameters == {}
+        assert after.tolist() == [[f(0.0)]] and f(0.0) != 0.0
+    else:
+        assert not np.diagonal(after).any()
+    if cert.kind == "equilateral_zero":
+        assert cert.parameters == {"c": w["t"] if "t" in w else w["t2"]}
+    if cert.kind == "isosceles_inversion":
+        assert cert.parameters == {"c1": w["t1"], "c2": w["t2"]}
 
 
 @pytest.mark.parametrize("f", AGREEMENT_SPECS, ids=lambda f: f.source)
@@ -63,6 +129,31 @@ def test_classify_and_witness_agree(f):
     assert classify_ultrametric_preserving(f).fails == (
         witness_not_ultrametric_preserving(f) is not None
     )
+    _assert_witness_renders_classify(f)
+
+
+@settings(max_examples=200)
+@given(_trees)
+def test_witness_renders_the_classify_verdict_on_random_trees(node):
+    # a tree the parser refuses (a negative constant) exits 1 on both commands
+    _assert_witness_renders_classify(FunctionSpec.from_node(node))
+
+
+@pytest.mark.parametrize(
+    "text, kind, parameters",
+    [
+        (CASE_C, "nonzero_diagonal", {}),
+        (CASE_B, "equilateral_zero", {"c": 2.0**-60}),
+        ("1e-300 * 1e-300", "equilateral_zero", {"c": 2.0**-60}),
+        ("(t - 1) * step_above(1)", "equilateral_zero", {"c": 2.0**-60}),
+        ("1 + t * 1e308 * 10", "nonzero_diagonal", {}),
+    ],
+)
+def test_pinned_disagreements_now_agree(text, kind, parameters):
+    assert _run("classify", text)[0] == 2
+    code, out = _run("witness", text, "--mode", "pu")
+    doc = json.loads(out)
+    assert code == 0 and doc["kind"] == kind and doc["parameters"] == parameters
 
 
 GOLDEN = Path(__file__).parent / "golden" / "witness_seed0.json"
@@ -127,9 +218,10 @@ class TestNotUltrametricPreserving:
     def test_nonzero_value_at_zero_lands_on_the_diagonal(self):
         cert = witness_not_ultrametric_preserving(spec("t + 1"))
         assert cert.kind == "nonzero_diagonal"
-        assert cert.space_before == triangle_equilateral(1.0)
-        assert cert.space_after.dist.tolist() == [[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]]
+        assert cert.space_before == FiniteSemimetricSpace(("x1",), [[0.0]])
+        assert cert.space_after.dist.tolist() == [[1.0]]
         assert cert.violation == {"type": "nonzero_diagonal", "indices": [0, 0], "value": 1.0}
+        assert cert.parameters == {}
         assert verify_certificate(cert)
 
     def test_forged_nonzero_diagonal_is_rejected(self):
