@@ -22,6 +22,7 @@ from .properties import (
     DEFAULT_SAMPLE_BUDGET,
     InfimumBound,
     PropertyVerdict,
+    SampledCheck,
     Status,
     _first_violation,
     _scan_probes,
@@ -32,15 +33,6 @@ from .properties import (
     inf_on_positive,
     log_uniform,
 )
-
-# Fixed probes prepended to every sampled triple check; the degenerate
-# all-equal and all-zero triples exercise the amenability edge cases, and
-# (1, 1, 2) is the canonical flat triangle.
-FIXED_TRIANGLE_TRIPLES = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0))
-FIXED_EQUAL_TRIPLES = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-# A triple check evaluates f at the triple itself (np.asarray is the identity
-# on its rows), and its witness names the triple and then its image.
-_TRIPLE_KEYS = ("p", "q", "l", "f_p", "f_q", "f_l")
 
 _SEED_MIX = 0x9E3779B97F4A7C15  # splitmix64 increment; stable sub-seed derivation
 
@@ -102,16 +94,22 @@ def minmax_equation_holds(fp, fq, fl):
     return pairwise == np.maximum(np.maximum(fp, fq), fl)
 
 
+# Triple checks evaluate f at the triple itself. The all-zero and all-equal
+# fixed triples probe amenability; (1, 1, 2) is the canonical flat triangle.
+_TRIPLE_KEYS = ("p", "q", "l", "f_p", "f_q", "f_l")
+TRIANGLE_TRIPLET = SampledCheck(np.asarray, triangle_triplet_holds, _TRIPLE_KEYS,
+                                ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0)))
+MINMAX_EQUATION = SampledCheck(np.asarray, minmax_equation_holds, _TRIPLE_KEYS,
+                               ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+
+
 def check_triplet_preservation(
     spec: FunctionSpec, samples: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0
 ) -> PropertyVerdict:
     """Does f carry triangle triplets (2*max <= sum) to triangle triplets?"""
     rng = np.random.default_rng(seed)
     sampled = _sample_triangle_triples(rng, samples)
-    return _scan_probes(
-        spec, np.asarray, triangle_triplet_holds, _TRIPLE_KEYS,
-        FIXED_TRIANGLE_TRIPLES, sampled, seed,
-    )
+    return _scan_probes(spec, TRIANGLE_TRIPLET, sampled, seed)
 
 
 def check_minmax_equation(
@@ -122,10 +120,7 @@ def check_minmax_equation(
     all such triples iff f preserves ultrametrics."""
     rng = np.random.default_rng(seed)
     sampled = _sample_two_largest_equal(rng, samples)
-    return _scan_probes(
-        spec, np.asarray, minmax_equation_holds, _TRIPLE_KEYS,
-        FIXED_EQUAL_TRIPLES, sampled, seed,
-    )
+    return _scan_probes(spec, MINMAX_EQUATION, sampled, seed)
 
 
 def find_minmax_violation(
@@ -143,7 +138,7 @@ def find_minmax_violation(
     if increasing.fails:
         t1, t2 = increasing.witness["t1"], increasing.witness["t2"]
         triple = np.array([[t1, t2, t2]])
-        return _first_violation(spec, np.asarray, minmax_equation_holds, _TRIPLE_KEYS, triple)
+        return _first_violation(spec, MINMAX_EQUATION, triple)
     return None
 
 

@@ -3,11 +3,11 @@
 A verdict holds or fails with a witness. `Holds` with ``exact=True`` means
 a structural certificate decided the property; otherwise `Holds` only means
 "no violation within the probe budget". `FailsWithWitness` always carries a
-witness that re-evaluates to a genuine violation, so a failing verdict is
-exact by construction. Sampled checks take an explicit seed, recorded in the
-verdict for replay; violation selection is order-independent (fixed probes
-first, then the lexicographically smallest sampled violation), so samples may
-be evaluated concurrently.
+witness that `verify_witness` reproduces by replaying its check, so a
+failing verdict is exact by construction. Sampled checks take an explicit
+seed, recorded in the verdict for replay; violation selection is
+order-independent (fixed probes first, then the lexicographically smallest
+sampled violation), so samples may be evaluated concurrently.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -86,6 +86,20 @@ def probe_points(spec: FunctionSpec, include_zero: bool = False) -> np.ndarray:
     return np.unique(np.concatenate([PROBE_GRID, extra]))
 
 
+def _first_nonamenable(spec: FunctionSpec, grid: np.ndarray) -> tuple[Optional[dict], int]:
+    """The witness of the amenability rule on a sorted grid from 0, or None,
+    and the points it took. One walk; f(0) != 0 decides first, as if read
+    alone, then the first t > 0 with f(t) <= 0."""
+    values, errors = spec.try_values(grid)
+    if errors and (0 in errors or values[0] == 0.0):
+        raise errors[min(errors)]
+    bad = np.flatnonzero(np.where(grid == 0.0, values != 0.0, values <= 0.0))
+    if not bad.size:
+        return None, len(grid)
+    k = int(bad[0])
+    return {"t": float(grid[k]), "f_t": float(values[k])}, k + 1
+
+
 def check_amenable(spec: FunctionSpec) -> PropertyVerdict:
     """f(0) = 0 and f > 0 on (0, inf).
 
@@ -93,78 +107,95 @@ def check_amenable(spec: FunctionSpec) -> PropertyVerdict:
     reasons over the reals, and a value that underflows to 0 in floats still
     fails. A grid-clean `holds` is exact when the certificate applies.
     """
-    f0 = spec(0.0)
-    if f0 != 0.0:
-        witness = {"t": 0.0, "f_t": f0}
-        return PropertyVerdict(Status.FAILS, witness, 1, exact=True)
-    grid = probe_points(spec)
-    values = spec.values(grid)
-    zeros = np.flatnonzero(values <= 0.0)
-    if zeros.size:
-        k = zeros[0]
-        witness = {"t": float(grid[k]), "f_t": float(values[k])}
-        # the budget counts f(0) and the grid points up to the witness
-        return PropertyVerdict(Status.FAILS, witness, int(k) + 2, exact=True)
-    return PropertyVerdict(
-        Status.HOLDS, None, len(grid) + 1, exact=positive_certified(spec.root)
-    )
+    witness, used = _first_nonamenable(spec, probe_points(spec, include_zero=True))
+    if witness is not None:
+        return PropertyVerdict(Status.FAILS, witness, used, exact=True)
+    return PropertyVerdict(Status.HOLDS, None, used, exact=positive_certified(spec.root))
 
 
-def check_increasing(spec: FunctionSpec) -> PropertyVerdict:
-    """Monotone nondecreasing on [0, inf) ("increasing" in the weak sense).
-
-    The witness is the first inversion on the grid: the smallest t1 with any
-    later, smaller value, paired with the first such t2.
-    """
-    if monotone_certified(spec.root):
-        return PropertyVerdict(Status.HOLDS, None, 0, exact=True)
-    grid = probe_points(spec, include_zero=True)
+def _first_inversion(spec: FunctionSpec, grid: np.ndarray) -> Optional[dict]:
+    """The smallest t1 of a sorted grid with any later, smaller value, paired
+    with the first such t2, or None."""
     values = spec.values(grid)
     suffix_min = np.minimum.accumulate(values[::-1])[::-1]  # min(values[k:])
     inverted = np.flatnonzero(values[:-1] > suffix_min[1:])
-    if inverted.size:
-        i = inverted[0]
-        j = i + 1 + np.flatnonzero(values[i + 1:] < values[i])[0]
-        witness = {
-            "t1": float(grid[i]),
-            "f_t1": float(values[i]),
-            "t2": float(grid[j]),
-            "f_t2": float(values[j]),
-        }
-        return PropertyVerdict(Status.FAILS, witness, len(grid), exact=True)
-    return PropertyVerdict(Status.HOLDS, None, len(grid), exact=False)
+    if not inverted.size:
+        return None
+    i = inverted[0]
+    j = i + 1 + np.flatnonzero(values[i + 1:] < values[i])[0]
+    return {"t1": float(grid[i]), "f_t1": float(values[i]),
+            "t2": float(grid[j]), "f_t2": float(values[j])}
 
 
-def _first_violation(spec: FunctionSpec, points, holds, keys, rows: np.ndarray) -> Optional[dict]:
-    """Witness for the lexicographically smallest row of the 2-d array rows
-    whose image breaks holds, or None. `points(rows)` gives the points to
-    evaluate, one row each, and one `spec.values` call evaluates them all;
-    the witness zips keys with the row followed by its image. An image sum
-    that overflows to inf decides as inf, without a numpy warning."""
-    image = spec.values(points(rows))
+def check_increasing(spec: FunctionSpec) -> PropertyVerdict:
+    """Monotone nondecreasing on [0, inf) ("increasing" in the weak sense),
+    witnessed by the first inversion on the grid."""
+    if monotone_certified(spec.root):
+        return PropertyVerdict(Status.HOLDS, None, 0, exact=True)
+    grid = probe_points(spec, include_zero=True)
+    witness = _first_inversion(spec, grid)
+    status = Status.HOLDS if witness is None else Status.FAILS
+    return PropertyVerdict(status, witness, len(grid), exact=witness is not None)
+
+
+class SampledCheck(NamedTuple):
+    """f is evaluated at `points(rows)`, and `holds` must accept each row's
+    image; a witness zips `keys` with a row and its image. `fixed` rows first."""
+
+    points: Callable[[np.ndarray], np.ndarray]
+    holds: Callable
+    keys: tuple[str, ...]
+    fixed: tuple[tuple[float, ...], ...]
+
+    def replay(self, spec: FunctionSpec, witness: dict) -> Optional[dict]:
+        """The check on the witness's own row, which must be finite and an
+        instance of the hypothesis: the identity keeps `holds` on it."""
+        row = np.array([[witness[k] for k in self.keys[:len(self.fixed[0])]]], dtype=float)
+        with np.errstate(all="ignore"):
+            instance = np.isfinite(row).all() and self.holds(*self.points(row).T).all()
+        return _first_violation(spec, self, row) if instance else None
+
+
+def _image(spec: FunctionSpec, check: SampledCheck, rows: np.ndarray):
+    """One walk: every row's image, the mask of rows whose image breaks the
+    check (an overflowing sum decides as inf, silently), and the errors."""
+    points = check.points(rows)
+    values, errors = spec.try_values(points.ravel())
+    image = values.reshape(points.shape)
     with np.errstate(all="ignore"):
-        bad = ~holds(*image.T)
+        return image, ~check.holds(*image.T), errors
+
+
+def _first_violation(spec: FunctionSpec, check: SampledCheck, rows: np.ndarray) -> Optional[dict]:
+    """Witness for the lexicographically smallest row of the 2-d array rows
+    whose image breaks the check, or None; the first error raises."""
+    image, bad, errors = _image(spec, check, rows)
+    if errors:
+        raise errors[min(errors)]
     if not bad.any():
         return None
     rows, image = rows[bad], image[bad]
     k = np.lexsort(rows.T[::-1])[0]  # lexsort's primary key is its last
-    return dict(zip(keys, rows[k].tolist() + image[k].tolist()))
+    return dict(zip(check.keys, rows[k].tolist() + image[k].tolist()))
 
 
 def _scan_probes(
-    spec: FunctionSpec, points, holds, keys, fixed, sampled: np.ndarray, seed: int
+    spec: FunctionSpec, check: SampledCheck, sampled: np.ndarray, seed: int
 ) -> PropertyVerdict:
-    """Fixed probes one row at a time, in order, then the lexicographically
-    smallest violating row of the sampled array in one batch."""
-    for used, probe in enumerate(fixed, 1):
-        w = _first_violation(spec, points, holds, keys, np.array([probe], dtype=float))
-        if w is not None:
-            return PropertyVerdict(Status.FAILS, w, used, exact=True, seed=seed)
-    used = len(fixed) + len(sampled)
-    w = _first_violation(spec, points, holds, keys, sampled)
-    if w is None:
-        return PropertyVerdict(Status.HOLDS, None, used, exact=False, seed=seed)
-    return PropertyVerdict(Status.FAILS, w, used, exact=True, seed=seed)
+    """The fixed rows in one walk, where the first row in order that errs or
+    violates decides; only if none does, the sampled rows in another."""
+    fixed = np.array(check.fixed, dtype=float)
+    image, bad, errors = _image(spec, check, fixed)
+    violating = np.flatnonzero(bad[:min(errors) // image.shape[1] if errors else None])
+    if violating.size:
+        k = violating[0]
+        witness = dict(zip(check.keys, fixed[k].tolist() + image[k].tolist()))
+        return PropertyVerdict(Status.FAILS, witness, int(k) + 1, exact=True, seed=seed)
+    if errors:
+        raise errors[min(errors)]
+    w = _first_violation(spec, check, sampled)
+    status = Status.HOLDS if w is None else Status.FAILS
+    return PropertyVerdict(status, w, len(fixed) + len(sampled), exact=w is not None, seed=seed)
 
 
 def log_uniform(rng: np.random.Generator, size) -> np.ndarray:
@@ -172,17 +203,11 @@ def log_uniform(rng: np.random.Generator, size) -> np.ndarray:
     return 2.0 ** rng.uniform(-30.0, 30.0, size=size)
 
 
-_SUBADDITIVE_FIXED_PAIRS = ((0.0, 0.0), (1.0, 1.0))
-_SUBADDITIVE_KEYS = ("x", "y", "f_x", "f_y", "f_sum")
-
-
-def _pair_points(pairs: np.ndarray) -> np.ndarray:
-    x, y = pairs.T
-    return np.column_stack([x, y, x + y])
-
-
-def _subadditive_holds(fx, fy, fs):
-    return ~(fs > fx + fy)  # an undefined sum (inf - inf) is no violation
+SUBADDITIVE = SampledCheck(
+    lambda pairs: np.column_stack([pairs, pairs[:, 0] + pairs[:, 1]]),  # x, y, x + y
+    lambda fx, fy, fs: ~(fs > fx + fy),  # an undefined sum (inf - inf) is no violation
+    ("x", "y", "f_x", "f_y", "f_sum"), ((0.0, 0.0), (1.0, 1.0)),
+)
 
 
 def check_subadditive(
@@ -190,11 +215,15 @@ def check_subadditive(
 ) -> PropertyVerdict:
     """f(x+y) <= f(x) + f(y) on fixed probes plus seeded log-uniform pairs."""
     rng = np.random.default_rng(seed)
-    pairs = log_uniform(rng, (budget, 2))
-    return _scan_probes(
-        spec, _pair_points, _subadditive_holds, _SUBADDITIVE_KEYS,
-        _SUBADDITIVE_FIXED_PAIRS, pairs, seed,
-    )
+    return _scan_probes(spec, SUBADDITIVE, log_uniform(rng, (budget, 2)), seed)
+
+
+def _continuity_break(spec: FunctionSpec, t: float) -> Optional[dict]:
+    """The witness that f(0) differs from its exact right limit at 0, or None."""
+    f0, limit = spec(0.0), right_limit_at_zero(spec.root)
+    if limit == f0:
+        return None
+    return {"t": t, "f_t": spec(t), "f_0": f0, "right_limit": limit}
 
 
 def check_continuous_at_zero(spec: FunctionSpec) -> PropertyVerdict:
@@ -204,13 +233,9 @@ def check_continuous_at_zero(spec: FunctionSpec) -> PropertyVerdict:
     (all combiners are continuous and all atoms have known limits), so the
     verdict is exact; the dyadic probe 2**-60 only furnishes the witness.
     """
-    f0 = spec(0.0)
-    limit = right_limit_at_zero(spec.root)
-    if limit == f0:
-        return PropertyVerdict(Status.HOLDS, None, 1, exact=True)
-    t = 2.0**-60
-    witness = {"t": t, "f_t": spec(t), "f_0": f0, "right_limit": limit}
-    return PropertyVerdict(Status.FAILS, witness, 2, exact=True)
+    witness = _continuity_break(spec, 2.0**-60)
+    status = Status.HOLDS if witness is None else Status.FAILS
+    return PropertyVerdict(status, witness, 1 if witness is None else 2, exact=True)
 
 
 def inf_on_positive(spec: FunctionSpec) -> InfimumBound:
@@ -248,37 +273,35 @@ def _symbolic_inf(node) -> Optional[float]:
     return None
 
 
-def verify_witness(spec: FunctionSpec, witness: dict) -> bool:
-    """Re-evaluate a stored witness; True when it still violates."""
-    if witness is None:
-        return False
-    if {"t1", "t2"} <= witness.keys():  # monotonicity
-        return (
-            witness["t1"] < witness["t2"]
-            and spec(witness["t1"]) == witness["f_t1"]
-            and spec(witness["t2"]) == witness["f_t2"]
-            and witness["f_t1"] > witness["f_t2"]
-        )
-    if {"x", "y"} <= witness.keys():  # subadditivity
-        x, y = witness["x"], witness["y"]
-        return spec(x + y) > spec(x) + spec(y)
-    if "f_0" in witness:  # continuity at zero
-        return spec(witness["t"]) == witness["f_t"] and witness["f_t"] != witness["f_0"]
-    if {"p", "q", "l"} <= witness.keys():  # triangle-triplet or min-max triple
-        from .classify import minmax_equation_holds, triangle_triplet_holds
+def verify_witness(spec: FunctionSpec, witness: dict, key: str) -> bool:
+    """True when a check behind verdict `key` of a classification report,
+    replayed on the witness's own points, reproduces the witness exactly;
+    False, never an error, for any other witness."""
+    from .classify import MINMAX_EQUATION, TRIANGLE_TRIPLET
 
-        args = (witness["p"], witness["q"], witness["l"])
-        image = (witness["f_p"], witness["f_q"], witness["f_l"])
-        if tuple(spec(x) for x in args) != image:
-            return False
-        with np.errstate(all="ignore"):  # an overflowing sum decides as inf
-            return any(
-                check(*args) and not check(*image)
-                for check in (triangle_triplet_holds, minmax_equation_holds)
-            )
-    if "t" in witness:  # amenability
-        return spec(witness["t"]) == witness["f_t"] and (
-            (witness["t"] == 0.0 and witness["f_t"] != 0.0)
-            or (witness["t"] > 0.0 and witness["f_t"] <= 0.0)
-        )
+    replays = {
+        "ultrametric_preserving": (_replay_increasing, _replay_amenable),
+        "strongly_preserving": (_replay_increasing, _replay_amenable, _replay_continuity),
+        "metric_preserving_sufficient": (_replay_increasing, SUBADDITIVE.replay),
+        "triplet_preservation": (TRIANGLE_TRIPLET.replay,),
+        "minmax_equation": (MINMAX_EQUATION.replay,),
+    }[key]
+    for replay in replays:
+        try:
+            if replay(spec, witness) == witness:
+                return True
+        except (ValueError, KeyError, TypeError):
+            pass
     return False
+
+
+def _replay_increasing(spec: FunctionSpec, w: dict) -> Optional[dict]:
+    return _first_inversion(spec, np.unique([w["t1"], w["t2"]]))
+
+
+def _replay_amenable(spec: FunctionSpec, w: dict) -> Optional[dict]:
+    return _first_nonamenable(spec, np.unique([0.0, w["t"]]))[0]
+
+
+def _replay_continuity(spec: FunctionSpec, w: dict) -> Optional[dict]:
+    return _continuity_break(spec, w["t"])

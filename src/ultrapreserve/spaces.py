@@ -52,14 +52,12 @@ class NonzeroDiagonal(SpaceValidationError):
     def __init__(self, i, value):
         super().__init__(f"diagonal entry ({i},{i}) = {float(value)!r}, expected 0")
         self.indices = (i, i)
-        self.value = value
 
 
 class NonpositiveOffDiagonal(SpaceValidationError):
     def __init__(self, i, j, value):
         super().__init__(f"off-diagonal entry ({i},{j}) = {float(value)!r}, expected > 0")
         self.indices = (i, j)
-        self.value = value
 
 
 class TooFewPoints(ValueError):

@@ -20,13 +20,12 @@ from .classify import (
     classify_ultrametric_preserving,
     derive_seed,
     find_minmax_violation,
-    minmax_equation_holds,
 )
 from .expr import FunctionSpec
 # dplus2_space is unused here but stays importable (perfbench's tracer test)
 from .generators import dplus2_space, random_ultrametric, snapped_levels, triangle_equilateral
 from .parser import parse_function_spec
-from .properties import check_subadditive
+from .properties import check_subadditive, verify_witness
 from .spaces import (
     apply_function,
     covering_number,
@@ -280,13 +279,7 @@ def minmax_equivalence(samples: int = 10_000, seed: int = 0) -> CriterionResult:
     non_member_misses = []
     for k, spec in enumerate(inversion_family()):
         witness = find_minmax_violation(spec, samples, derive_seed(seed, 100 + k))
-        if witness is None:
-            non_member_misses.append(spec.source)
-            continue
-        p, q, l = witness["p"], witness["q"], witness["l"]
-        hypothesis = minmax_equation_holds(p, q, l)
-        image_fails = not minmax_equation_holds(spec(p), spec(q), spec(l))
-        if not (hypothesis and image_fails):
+        if witness is None or not verify_witness(spec, witness, "minmax_equation"):
             non_member_misses.append(spec.source)
     return CriterionResult(
         "minmax_equivalence",

@@ -6,12 +6,13 @@ planted zero (an equilateral triangle whose image loses positivity), an
 inversion (an isosceles triangle whose image breaks the strong triangle
 inequality) or a nonzero f(0) (the one-point space, whose image has a
 nonzero diagonal). The certificate renders the witness of classify's
-ultrametric-preserving verdict, so `witness` and `classify` decide alike. A
-transform that preserves ultrametrics but not the topology is bounded away
-from zero on (0, inf); pushing the geometric level family through it makes
-the covering number at a fixed scale grow linearly with the truncation size
-while the source covering number stays constant. Certificates store both
-matrices and re-verify exactly.
+ultrametric-preserving verdict, so `witness` and `classify` decide alike,
+and its image is f of every entry of its source space. A transform that
+preserves ultrametrics but not the topology is bounded away from zero on
+(0, inf); pushing the geometric level family through it makes the covering
+number at a fixed scale grow linearly with the truncation size while the
+source covering number stays constant. Certificates store both matrices and
+re-verify exactly by replaying the rule that built them.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ from .generators import (
     triangle_isosceles,
 )
 from .matrix_io import space_to_dict
+from .parser import parse_function_spec
 from .properties import inf_on_positive
 from .spaces import (
     FiniteSemimetricSpace,
-    NonpositiveOffDiagonal,
-    NonzeroDiagonal,
     PositivityViolation,
     TripleViolation,
     apply_function,
@@ -104,52 +104,56 @@ def witness_not_ultrametric_preserving(spec: FunctionSpec) -> Optional[WitnessCe
     inversion t1 < t2 with f(t1) > f(t2) maps the isosceles triangle
     (t1, t2, t2); a nonzero f(0) lands on the diagonal of the one-point
     space. An inversion from t1 = 0 with f(0) = 0 has f(t2) < 0, a zero at
-    t2. Returns None exactly when the verdict holds.
+    t2. The image is f of every entry, the diagonal included, and its first
+    defect is the violation. Returns None exactly when the verdict holds.
     """
     verdict = classify_ultrametric_preserving(spec)
     if verdict.holds:
         return None
     w = verdict.witness
-    if "t" in w:  # amenability: f(0) != 0, or a zero at t > 0
-        t, ft = w["t"], w["f_t"]
-    elif w["t1"] > 0.0:
-        c1, c2, f1, f2 = w["t1"], w["t2"], w["f_t1"], w["f_t2"]
-        before = triangle_isosceles(c1, c2)
-        after = FiniteSemimetricSpace(
-            before.labels, [[0.0, f2, f1], [f2, 0.0, f2], [f1, f2, 0.0]]
-        )
-        return WitnessCertificate(
-            kind="isosceles_inversion",
-            function=spec.source,
-            space_before=before,
-            space_after=after,
-            violation=is_ultrametric(after)[1],
-            parameters={"c1": c1, "c2": c2},
-        )
-    elif w["f_t1"] != 0.0:  # an inversion from f(0) != 0
-        t, ft = 0.0, w["f_t1"]
-    else:  # an inversion from f(0) = 0 (or -0.0) reaches f(t2) < 0
-        t, ft = w["t2"], w["f_t2"]
-    if t == 0.0:
-        before = FiniteSemimetricSpace(("x1",), [[0.0]])
-        return WitnessCertificate(
-            kind="nonzero_diagonal",
-            function=spec.source,
-            space_before=before,
-            space_after=FiniteSemimetricSpace(before.labels, [[ft]]),
-            violation={"type": "nonzero_diagonal", "indices": [0, 0], "value": ft},
-            parameters={},
-        )
-    before = triangle_equilateral(t)
-    after = FiniteSemimetricSpace(before.labels, [[0.0, ft, ft], [ft, 0.0, ft], [ft, ft, 0.0]])
-    return WitnessCertificate(
-        kind="equilateral_zero",
-        function=spec.source,
-        space_before=before,
-        space_after=after,
-        violation=PositivityViolation(0, 1, ft),
-        parameters={"c": t},
-    )
+    if w.get("t1", 0.0) > 0.0:
+        parameters = {"c1": w["t1"], "c2": w["t2"]}
+    else:  # f(0) != 0, or a zero at t > 0; from t1 = 0, f(0) != 0 or f(t2) < f(0) = 0
+        t = w["t"] if "t" in w else 0.0 if w["f_t1"] != 0.0 else w["t2"]
+        parameters = {"c": t} if t > 0.0 else {}
+    before = _space_before(parameters)
+    after = _space_after(before, spec)
+    kind, violation = _first_defect(after)
+    return WitnessCertificate(kind, spec.source, before, after, violation, parameters)
+
+
+def _space_before(parameters: dict) -> FiniteSemimetricSpace:
+    """The one-point space, the equilateral triangle of side c or the
+    isosceles triangle (c1, c2, c2)."""
+    if not parameters:
+        return FiniteSemimetricSpace(("x1",), [[0.0]])
+    if parameters.keys() == {"c"}:
+        return triangle_equilateral(parameters["c"])
+    return triangle_isosceles(parameters["c1"], parameters["c2"])
+
+
+def _space_after(before: FiniteSemimetricSpace, spec: FunctionSpec) -> FiniteSemimetricSpace:
+    """f of every entry, the diagonal included, from one walk."""
+    return FiniteSemimetricSpace(before.labels, spec.values(before.dist))
+
+
+def _first_defect(space: FiniteSemimetricSpace):
+    """The certificate kind and violation of the first way `space` is not an
+    ultrametric space: its first violating triple, else the first entry in
+    row-major order that is a nonzero diagonal or a nonpositive off-diagonal
+    value; None when there is none."""
+    ok, triple = is_ultrametric(space)
+    if not ok:
+        return "isosceles_inversion", triple
+    d = space.dist
+    bad = np.flatnonzero(np.where(np.eye(len(d), dtype=bool), d != 0.0, ~(d > 0.0)))
+    if not bad.size:
+        return None
+    i, j = divmod(int(bad[0]), len(d))
+    if i == j:
+        return "nonzero_diagonal", {"type": "nonzero_diagonal", "indices": [i, i],
+                                    "value": float(d[i, i])}
+    return "equilateral_zero", PositivityViolation(i, j, float(d[i, j]))
 
 
 def witness_not_strongly_preserving(
@@ -177,56 +181,43 @@ def witness_not_strongly_preserving(
     a = bound.estimate
     before, levels = tbu_noncompact_truncation(n_levels, ratio=0.5)
     after = apply_function(before, spec)
-    eps_after = a / 2.0
-    cov_before = covering_number(before, COVERING_EPS_BEFORE)
-    cov_after = covering_number(after, eps_after)
-    table = {
+    parameters = {"inf_bound": a, "levels": n_levels, "ratio": 0.5,
+                  "level_sequence": list(levels.values)}
+    return WitnessCertificate("covering_divergence", spec.source, before, after,
+                              _covering_table(before, after, a), parameters)
+
+
+def _covering_table(before: FiniteSemimetricSpace, after: FiniteSemimetricSpace, a: float) -> dict:
+    """Covering numbers of the source at 1/4 and of the image at a/2."""
+    return {
         "type": "covering_table",
         "eps_before": COVERING_EPS_BEFORE,
-        "covering_before": cov_before,
-        "eps_after": eps_after,
-        "covering_after": cov_after,
-        "levels": n_levels,
+        "covering_before": covering_number(before, COVERING_EPS_BEFORE),
+        "eps_after": a / 2.0,
+        "covering_after": covering_number(after, a / 2.0),
+        "levels": len(before),
     }
-    return WitnessCertificate(
-        kind="covering_divergence",
-        function=spec.source,
-        space_before=before,
-        space_after=after,
-        violation=table,
-        parameters={"inf_bound": a, "levels": n_levels, "ratio": 0.5,
-                    "level_sequence": list(levels.values)},
-    )
 
 
 def verify_certificate(cert: WitnessCertificate) -> bool:
-    """Re-run the relevant predicate on space_after; True when it reproduces
-    the recorded violation exactly."""
-    if cert.kind == "equilateral_zero":
-        try:
-            validate_space(cert.space_after.dist, cert.space_after.labels)
-        except NonpositiveOffDiagonal as exc:
-            v = cert.violation
-            return exc.indices == (v.i, v.j) and exc.value == v.value
+    """True when replaying the rule that built the certificate reproduces
+    every stored part exactly; False, never an error, otherwise. The source
+    space must be a valid ultrametric and the image f of its every entry; a
+    pu certificate's source is the space its parameters name and its kind
+    and violation are the image's first defect; a covering table is recounted."""
+    try:
+        spec = parse_function_spec(cert.function)
+        before = validate_space(cert.space_before.dist, cert.space_before.labels)
+        after = _space_after(before, spec)
+        if not is_ultrametric(before)[0] or cert.space_after != after:
+            return False
+        if cert.kind == "covering_divergence":
+            table = _covering_table(before, after, cert.parameters["inf_bound"])
+            return cert.violation == table and table["covering_after"] == len(before)
+        return (cert.space_before == _space_before(cert.parameters)
+                and (cert.kind, cert.violation) == _first_defect(after))
+    except (ValueError, KeyError, TypeError, AttributeError):
         return False
-    if cert.kind == "nonzero_diagonal":
-        try:
-            validate_space(cert.space_after.dist, cert.space_after.labels)
-        except NonzeroDiagonal as exc:
-            v = cert.violation
-            return list(exc.indices) == v["indices"] and exc.value == v["value"]
-        return False
-    if cert.kind == "isosceles_inversion":
-        ok, violation = is_ultrametric(cert.space_after)
-        return (not ok) and violation == cert.violation
-    if cert.kind == "covering_divergence":
-        t = cert.violation
-        return (
-            covering_number(cert.space_before, t["eps_before"]) == t["covering_before"]
-            and covering_number(cert.space_after, t["eps_after"]) == t["covering_after"]
-            and t["covering_after"] == t["levels"]
-        )
-    return False
 
 
 def _require_three_point_ultrametric(space: FiniteSemimetricSpace) -> tuple[float, ...]:

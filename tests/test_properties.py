@@ -1,12 +1,19 @@
 """Analytic property checks: amenability, monotonicity, subadditivity,
 continuity at zero, and the positive infimum report."""
 
+import contextlib
+import io
+import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from test_expr import _trees
 from ultrapreserve.classify import classification_report
-from ultrapreserve.expr import breakpoints
+from ultrapreserve.cli import main
+from ultrapreserve.expr import FunctionSpec, breakpoints
 from ultrapreserve.parser import parse_function_spec
 from ultrapreserve.properties import (
     BREAKPOINT_OFFSET,
@@ -60,14 +67,14 @@ class TestAmenable:
         v = check_amenable(spec("0"))
         assert v.fails
         assert v.witness["f_t"] == 0.0 and v.witness["t"] > 0
-        assert verify_witness(spec("0"), v.witness)
+        assert verify_witness(spec("0"), v.witness, "ultrametric_preserving")
 
     def test_planted_zero_fails(self):
         s = spec("max(0, t - 1)")
         v = check_amenable(s)
         assert v.fails
         assert s(v.witness["t"]) == 0.0
-        assert verify_witness(s, v.witness)
+        assert verify_witness(s, v.witness, "ultrametric_preserving")
 
     def test_nonzero_at_origin_fails(self):
         v = check_amenable(spec("t + 1"))
@@ -85,7 +92,7 @@ class TestAmenable:
         s = spec(text)
         v = check_amenable(s)
         assert v.fails and v.witness == {"t": 2.0**-60, "f_t": 0.0}
-        assert verify_witness(s, v.witness)
+        assert verify_witness(s, v.witness, "ultrametric_preserving")
 
 
 class TestIncreasing:
@@ -103,7 +110,7 @@ class TestIncreasing:
         assert v.fails
         assert v.witness["t1"] < v.witness["t2"]
         assert v.witness["f_t1"] > v.witness["f_t2"]
-        assert verify_witness(s, v.witness)
+        assert verify_witness(s, v.witness, "ultrametric_preserving")
 
     def test_witness_is_the_first_inversion(self):
         # the smallest t1 with any later, smaller value, and the first such t2
@@ -128,7 +135,7 @@ class TestSubadditive:
         assert v.fails
         assert (v.witness["x"], v.witness["y"]) == (1.0, 1.0)
         assert v.witness["f_sum"] == 4.0
-        assert verify_witness(spec("t * t"), v.witness)
+        assert verify_witness(spec("t * t"), v.witness, "metric_preserving_sufficient")
 
     def test_cantor_holds_across_budget(self):
         v = check_subadditive(spec("cantor_hat(t)"), budget=10_000, seed=3)
@@ -149,7 +156,7 @@ class TestContinuousAtZero:
         v = check_continuous_at_zero(s)
         assert v.fails and v.exact
         assert v.witness == {"t": 2.0**-60, "f_t": 1.0, "f_0": 0.0, "right_limit": 1.0}
-        assert verify_witness(s, v.witness)
+        assert verify_witness(s, v.witness, "strongly_preserving")
 
     @pytest.mark.parametrize("a", [2.0**-10, 0.5, 1.0, 3.0, 2.0**10])
     def test_step_family_always_fails(self, a):
@@ -192,16 +199,16 @@ class TestInfOnPositive:
 class TestVerifyTripleWitness:
     def test_real_triangle_witness_accepted(self):
         w = {"p": 1.0, "q": 1.0, "l": 2.0, "f_p": 1.0, "f_q": 1.0, "f_l": 4.0}
-        assert verify_witness(spec("t * t"), w)
+        assert verify_witness(spec("t * t"), w, "triplet_preservation")
 
     def test_forged_triple_rejected(self):
         # the identity keeps (1, 1, 2) a triangle; the recorded image is made up
         forged = {"p": 1.0, "q": 1.0, "l": 2.0, "f_p": 1.0, "f_q": 1.0, "f_l": 4.0}
-        assert not verify_witness(spec("t"), forged)
+        assert not verify_witness(spec("t"), forged, "triplet_preservation")
 
     def test_triple_whose_image_holds_rejected(self):
         w = {"p": 1.0, "q": 1.0, "l": 2.0, "f_p": 1.0, "f_q": 1.0, "f_l": 2.0}
-        assert not verify_witness(spec("t"), w)
+        assert not verify_witness(spec("t"), w, "triplet_preservation")
 
     def test_overflowing_image_sum_decides_as_inf_without_a_warning(self):
         # f_q = f_l = -inf: 2 * max and the image sum overflow
@@ -211,4 +218,84 @@ class TestVerifyTripleWitness:
         )
         w = classification_report(s, seed=0).minmax_equation.witness
         assert w["f_q"] == w["f_l"] == -math.inf
-        assert verify_witness(s, w)
+        assert verify_witness(s, w, "minmax_equation")
+
+
+CLASSIFY_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "classify_seed0.json").read_text()
+)
+FAILING_GOLDEN_VERDICTS = [
+    (entry["function"], key, verdict["witness"])
+    for entry in CLASSIFY_GOLDEN
+    for key, verdict in entry["report"]["verdicts"].items()
+    if verdict["status"] == "fails_with_witness"
+]
+
+
+class TestWitnessReplay:
+    """`verify_witness` replays the check behind a verdict key on the
+    witness's own points; these forgeries all passed the hand-written
+    predicates it replaced."""
+
+    def test_continuity_witness_that_proves_nothing_is_rejected(self):
+        forged = {"t": 2.0**-60, "f_t": 2.0**-60, "f_0": 0.0, "right_limit": 0.0}
+        assert not verify_witness(spec("t"), forged, "strongly_preserving")
+
+    def test_subadditivity_witness_with_made_up_images_is_rejected(self):
+        forged = {"x": 1.0, "y": 1.0, "f_x": 123.0, "f_y": 0.0, "f_sum": -5.0}
+        assert not verify_witness(spec("t * t"), forged, "metric_preserving_sufficient")
+        real = check_subadditive(spec("t * t"), budget=8, seed=0).witness
+        assert verify_witness(spec("t * t"), real, "metric_preserving_sufficient")
+
+    def test_witness_of_another_property_is_rejected(self):
+        s = spec("piecewise { [0,2): 5; [2,inf): 3 }")
+        w = {"p": 1.5, "q": 2.5, "l": 2.5, "f_p": 5.0, "f_q": 3.0, "f_l": 3.0}
+        assert verify_witness(s, w, "minmax_equation")
+        assert not verify_witness(s, w, "triplet_preservation")
+
+    def test_triple_outside_the_hypothesis_is_rejected(self):
+        # (1, 1, 5) is no triangle, though t * t breaks the inequality on it
+        w = {"p": 1.0, "q": 1.0, "l": 5.0, "f_p": 1.0, "f_q": 1.0, "f_l": 25.0}
+        assert not verify_witness(spec("t * t"), w, "triplet_preservation")
+
+    def test_a_verdict_key_admits_only_its_own_checks(self):
+        s = spec("step_above(1)")
+        w = check_continuous_at_zero(s).witness
+        assert verify_witness(s, w, "strongly_preserving")
+        assert not verify_witness(s, w, "ultrametric_preserving")
+
+    @pytest.mark.parametrize("bad", [None, [], {}, {"t": "zero", "f_t": 1.0}, {"t1": -1.0}])
+    def test_malformed_witness_is_rejected_without_an_error(self, bad):
+        for key in ("ultrametric_preserving", "strongly_preserving",
+                    "metric_preserving_sufficient", "triplet_preservation", "minmax_equation"):
+            assert verify_witness(spec("t + 1"), bad, key) is False
+
+    @pytest.mark.parametrize(
+        "function, key, witness", FAILING_GOLDEN_VERDICTS,
+        ids=[f"{f}:{k}" for f, k, _ in FAILING_GOLDEN_VERDICTS],
+    )
+    def test_golden_witness_replays_and_pins_every_image(self, function, key, witness):
+        """Every stored image value is pinned. A nudged point may still be a
+        genuine violation (f can be flat there), so points are not."""
+        s = spec(function)
+        assert verify_witness(s, witness, key)
+        for name in witness:
+            if name.startswith("f_") or name == "right_limit":
+                nudged = {**witness, name: math.nextafter(witness[name], math.inf)}
+                assert not verify_witness(s, nudged, key), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_every_witness_classify_emits_replays(node):
+    """Each failing verdict in a document `classify` emits re-verifies
+    under its own key; a tree the parser refuses exits 1 and emits none."""
+    source = FunctionSpec.from_node(node).source
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["classify", source, "--budget", "256"])
+    if code == 1:
+        return
+    for key, verdict in json.loads(out.getvalue())["verdicts"].items():
+        if verdict["status"] == "fails_with_witness":
+            assert verify_witness(spec(source), verdict["witness"], key), key

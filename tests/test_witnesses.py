@@ -1,9 +1,11 @@
 """Counterexample certificates and three-point universal embeddings."""
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,8 @@ from ultrapreserve.parser import parse_function_spec
 from ultrapreserve.spaces import (
     FiniteSemimetricSpace,
     NonpositiveOffDiagonal,
+    PositivityViolation,
+    TripleViolation,
     are_isometric_small,
     covering_number,
     distance_spectrum,
@@ -34,6 +38,7 @@ from ultrapreserve.witnesses import (
     NotUltrametric,
     PreconditionFailed,
     SpectrumNotEmbeddable,
+    WitnessCertificate,
     WrongSize,
     embed_three_point_tbu,
     embed_three_point_universal,
@@ -96,9 +101,9 @@ def _run(*argv) -> tuple[int, str]:
 
 def _assert_witness_renders_classify(f: FunctionSpec) -> None:
     """Where classify exits 0 or 2, `witness --mode pu` exits 4 or 0. An
-    emitted certificate re-verifies, maps its space by f entry by entry off
-    the diagonal, holds f(0) on the diagonal of the one-point space (0 on a
-    triangle's) and sits on the points of classify's verdict witness."""
+    emitted certificate re-verifies, its image is f of its source space
+    entry by entry, the diagonal included, and it sits on the points of
+    classify's verdict witness."""
     classify_code, _ = _run("classify", f.source)
     witness_code, out = _run("witness", f.source, "--mode", "pu")
     if classify_code in (0, 2):
@@ -110,13 +115,10 @@ def _assert_witness_renders_classify(f: FunctionSpec) -> None:
     assert json.loads(out) == json.loads(json.dumps(cert.to_json()))
     assert verify_certificate(cert), f.source
     before, after = cert.space_before.dist, cert.space_after.dist
-    off = ~np.eye(len(before), dtype=bool)
-    assert np.array_equal(after[off], f.values(before[off])), f.source
+    assert after.tobytes() == f.values(before).tobytes(), f.source
     if cert.kind == "nonzero_diagonal":
         assert w.get("t", w.get("t1")) == 0.0 and cert.parameters == {}
-        assert after.tolist() == [[f(0.0)]] and f(0.0) != 0.0
-    else:
-        assert not np.diagonal(after).any()
+        assert before.tolist() == [[0.0]] and f(0.0) != 0.0
     if cert.kind == "equilateral_zero":
         assert cert.parameters == {"c": w["t"] if "t" in w else w["t2"]}
     if cert.kind == "isosceles_inversion":
@@ -239,6 +241,135 @@ class TestNotUltrametricPreserving:
         assert doc["kind"] == "isosceles_inversion"
         assert doc["violation"]["type"] == "strong_triangle"
         assert doc["space_before"]["labels"] == ["x1", "x2", "x3"]
+
+
+def _certificate_from_json(doc: dict) -> WitnessCertificate:
+    """Rebuild a certificate from its JSON document alone."""
+    v = doc["violation"]
+    if v["type"] == "positivity":
+        violation = PositivityViolation(*v["indices"], v["value"])
+    elif v["type"] == "strong_triangle":
+        violation = TripleViolation(tuple(v["indices"]), v["lhs"], v["rhs"], v["type"])
+    else:
+        violation = v
+    before, after = (
+        FiniteSemimetricSpace(doc[k]["labels"], doc[k]["dist"])
+        for k in ("space_before", "space_after")
+    )
+    return WitnessCertificate(
+        doc["kind"], doc["function"], before, after, violation, doc["parameters"]
+    )
+
+
+def _number_paths(node, path=()):
+    """Paths to every number inside a JSON value."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _number_paths(v, (*path, k))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _number_paths(v, (*path, i))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _nudged(doc: dict, path: tuple) -> dict:
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    node = doc
+    for k in head:
+        node = node[k]
+    node[last] = math.nextafter(node[last], math.inf)
+    return doc
+
+
+GOLDEN_CERTIFICATES = [
+    e["output"] for e in json.loads(GOLDEN.read_text()) if "kind" in e["output"]
+]
+
+
+class TestCertificateReplay:
+    """`verify_certificate` replays the rule that built a certificate; these
+    forgeries all passed the per-kind predicates it replaced."""
+
+    @pytest.mark.parametrize(
+        "source, mode, forged_function",
+        [
+            (INVERSION, "pu", "t"),
+            ("max(0, t - 1)", "pu", "pow(t, 0.5)"),
+            ("t + 1", "pu", "t"),
+            ("step_above(1)", "pt", "cantor_hat(t)"),
+        ],
+    )
+    def test_relabelled_certificate_is_rejected(self, source, mode, forged_function):
+        if mode == "pu":
+            cert = witness_not_ultrametric_preserving(spec(source))
+        else:
+            cert = witness_not_strongly_preserving(spec(source), n_levels=8)
+        assert verify_certificate(cert)
+        assert not verify_certificate(dataclasses.replace(cert, function=forged_function))
+
+    def test_non_ultrametric_source_is_rejected(self):
+        cert = witness_not_ultrametric_preserving(spec(INVERSION))
+        before = validate_space([[0, 2, 1], [2, 0, 0.5], [1, 0.5, 0]], cert.space_before.labels)
+        assert not is_ultrametric(before)[0]
+        assert not verify_certificate(dataclasses.replace(cert, space_before=before))
+
+    def test_covering_table_over_a_non_ultrametric_source_is_rejected(self):
+        cert = witness_not_strongly_preserving(spec("step_above(1)"), n_levels=4)
+        before = validate_space([[0, 1, 2, 2], [1, 0, 1.5, 2], [2, 1.5, 0, 2], [2, 2, 2, 0]])
+        after = FiniteSemimetricSpace(before.labels, spec("step_above(1)").values(before.dist))
+        table = {**cert.violation, "covering_before": covering_number(before, 0.25),
+                 "covering_after": covering_number(after, 0.5)}
+        assert not is_ultrametric(before)[0] and table["covering_after"] == 4
+        forged = dataclasses.replace(cert, space_before=before, space_after=after, violation=table)
+        assert not verify_certificate(forged)
+
+    def test_image_is_f_of_the_source_diagonal_included(self):
+        cert = witness_not_ultrametric_preserving(spec("1 + " + INVERSION))
+        assert cert.kind == "isosceles_inversion"
+        assert cert.space_after.dist.tolist() == [[1, 4, 6], [4, 1, 4], [6, 4, 1]]
+        assert verify_certificate(cert)
+        cert = witness_not_ultrametric_preserving(spec("(t - 1) * step_above(1)"))
+        assert cert.kind == "equilateral_zero"
+        assert all(math.copysign(1.0, x) == -1.0 for x in np.diagonal(cert.space_after.dist))
+        assert verify_certificate(cert)
+
+    def test_infinite_value_at_zero_verifies_without_an_error(self):
+        f = spec("pow(1e308, 3) + t")
+        cert = witness_not_ultrametric_preserving(f)
+        assert cert.kind == "nonzero_diagonal" and cert.space_after.dist.tolist() == [[math.inf]]
+        assert verify_certificate(cert) is True
+        assert _run("witness", f.source, "--mode", "pu")[0] == 1  # strict JSON refuses inf
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"function": "t +"},
+            {"function": None},
+            {"parameters": {"c1": 2.0}},
+            {"parameters": None},
+            {"violation": None},
+            {"kind": "no_such_kind"},
+            {"space_before": FiniteSemimetricSpace(("a", "a"), [[0, 1], [1, 0]])},
+            {"space_before": FiniteSemimetricSpace(("x1",), [[math.nan]])},
+        ],
+    )
+    def test_malformed_certificate_is_rejected_without_an_error(self, change):
+        cert = witness_not_ultrametric_preserving(spec(INVERSION))
+        assert verify_certificate(dataclasses.replace(cert, **change)) is False
+
+    @pytest.mark.parametrize(
+        "doc", GOLDEN_CERTIFICATES, ids=lambda d: f"{d['kind']}:{d['function']}"
+    )
+    def test_golden_certificate_replays_and_pins_every_number(self, doc):
+        assert verify_certificate(_certificate_from_json(doc))
+        parts = ["space_before", "space_after", "violation"]
+        if doc["kind"] != "covering_divergence":
+            parts.append("parameters")
+        for part in parts:
+            for path in _number_paths(doc[part], (part,)):
+                assert not verify_certificate(_certificate_from_json(_nudged(doc, path))), path
 
 
 class TestNotStronglyPreserving:
