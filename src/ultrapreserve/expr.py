@@ -9,13 +9,24 @@ Trees are immutable after construction; evaluation and all analyses are pure,
 so specs can be shared freely between concurrent tasks. One walker evaluates a
 tree: it visits each node once for a whole array of points, and gives at each
 point the bits, or the error, of a scalar walk in Python floats.
+
+Static analyses: one fold, `facts(node)`, derives from the leaves up what is
+known of a tree without a grid: its constant value, whether it is >= 0 on
+[0, inf) and > 0 on (0, inf), whether it rises or falls, its right limit at
+0, its infimum over (0, inf) where those decide it, and the first subtree
+that folds to a negative constant. Its proofs reason over the reals and hold
+in floats because rounding is monotone; a difference l - r rises when l
+rises and r falls, and a piecewise tree rises when every piece does and the
+values at each inner boundary rise. The checks read the record: `up` skips
+the monotonicity grid, `positive` marks a grid-clean amenability verdict
+exact, `limit` decides continuity at 0 and `inf` the infimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -288,16 +299,6 @@ def _evaluate_many(node: Node, ts: np.ndarray) -> tuple[np.ndarray, dict]:
     return values, {**right_errors, **errors}
 
 
-@np.errstate(all="ignore")
-def value_at(node: Node, t: float) -> float:
-    """The tree at the one point t >= 0, NaN included; raises what a scalar
-    walk raises there."""
-    values, errors = _evaluate_many(node, np.array([t], dtype=float))
-    if errors:
-        raise errors[0]
-    return float(values[0])
-
-
 # ---------------------------------------------------------------------------
 # Rendering (round-trips through the parser)
 
@@ -408,21 +409,6 @@ def walk(node: Node):
         yield from walk(child)
 
 
-def fold_constant(node: Node) -> Optional[float]:
-    """Value of a constant subtree, or None if it depends on t."""
-    if any(isinstance(sub, (Var, CantorHat, StepAbove, Piecewise)) for sub in walk(node)):
-        return None
-    return value_at(node, 0.0)
-
-
-def first_negative_fold(node: Node) -> Optional[Node]:
-    """First subtree (preorder) that folds to a negative constant. Every
-    subtree is folded before any is tested, so an undefined constant anywhere
-    raises ahead of a negative one."""
-    folds = [(sub, fold_constant(sub)) for sub in walk(node)]
-    return next((sub for sub, v in folds if v is not None and v < 0), None)
-
-
 def breakpoints(node: Node) -> tuple[float, ...]:
     """Finite piece boundaries anywhere in the tree, sorted ascending."""
     points: set[float] = set()
@@ -435,112 +421,138 @@ def breakpoints(node: Node) -> tuple[float, ...]:
     return tuple(sorted(points))
 
 
-def nonneg_certified(node: Node) -> bool:
-    """True when the tree cannot produce a negative value for any t >= 0.
+class Facts(NamedTuple):
+    """What the fold proves of a tree on [0, inf). A proof holds over the
+    reals and, since rounding is monotone, in floats wherever f is defined;
+    a false fact is only unproven."""
 
-    Every node type except Difference maps nonnegative inputs to nonnegative
-    outputs, so the certificate is simply the absence of subtraction (plus
-    nonnegative literals, which the parser already enforces).
+    const: Optional[float]  # the value of a tree without t, else None
+    nonneg: bool  # f >= 0 on [0, inf)
+    positive: bool  # f > 0 on (0, inf) over the reals; a float product may underflow to 0
+    up: bool  # nondecreasing on [0, inf)
+    down: bool  # nonincreasing on [0, inf)
+    limit: float  # lim f(t) as t -> 0+, NaN where the fold cannot compute it
+    inf: Optional[float]  # inf of f over (0, inf) where the facts decide it, else None
+    continuous: bool  # continuous on (0, inf) where defined: no piecewise glue below
+    first_negative: Optional[Node]  # first subtree (preorder) that folds to a negative constant
+
+
+# Constants and right limits combine as a scalar walk combines values.
+_SCALAR = {Sum: lambda a, b: a + b, Difference: lambda a, b: a - b,
+           Product: lambda a, b: a * b, Min: min, Max: max}
+
+
+def facts(node: Node) -> Facts:
+    """The facts of the tree, from one bottom-up fold over its nodes.
+
+    Constants fold in Python floats, left operands first, bit for bit as the
+    walker evaluates them; an undefined one raises the walker's
+    UndefinedValue, before any subtree is tested for a negative constant.
     """
-    for sub in walk(node):
-        if isinstance(sub, Difference):
-            return False
-        if isinstance(sub, Const) and sub.value < 0:
-            return False
-        if isinstance(sub, StepAbove) and sub.height < 0:
-            return False
-        if isinstance(sub, Power) and sub.exponent < 0:
-            return False
-    return True
+    with np.errstate(all="ignore"):
+        return _fold(node)
 
 
-def positive_certified(node: Node) -> bool:
-    """True when the tree is provably > 0 everywhere on (0, inf)."""
-    if isinstance(node, Const):
-        return node.value > 0
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, CantorHat):
-        return True  # G(t) >= G(3**-k) = 2**-k > 0 for t > 0
-    if isinstance(node, StepAbove):
-        return node.height > 0
-    if isinstance(node, Sum):
-        l, r = node.left, node.right
-        if not (nonneg_certified(l) and nonneg_certified(r)):
-            return False
-        return positive_certified(l) or positive_certified(r)
-    if isinstance(node, Product):
-        return positive_certified(node.left) and positive_certified(node.right)
-    if isinstance(node, Min):
-        return positive_certified(node.left) and positive_certified(node.right)
-    if isinstance(node, Max):
-        return positive_certified(node.left) or positive_certified(node.right)
-    if isinstance(node, Power):
-        if node.exponent == 0:
-            return True  # x**0 == 1, including 0**0
-        return node.exponent > 0 and positive_certified(node.base)
+def _fold(node: Node) -> Facts:
+    kids = [_fold(child) for child in children(node)]
     if isinstance(node, Piecewise):
-        return all(
-            positive_certified(p.expr) for p in node.pieces if p.upper > 0
-        )
-    return False
-
-
-def monotone_certified(node: Node) -> bool:
-    """True when the tree is provably nondecreasing on [0, inf).
-
-    Sound for trees built from nondecreasing nonnegative atoms under
-    sum / product / min / max / power; subtraction and piecewise glue
-    defeat the certificate and fall back to numeric probing.
-    """
-    if isinstance(node, (Const, Var, CantorHat)):
-        return True
-    if isinstance(node, StepAbove):
-        return node.height >= 0
-    if isinstance(node, (Sum, Min, Max)):
-        return monotone_certified(node.left) and monotone_certified(node.right)
-    if isinstance(node, Product):
-        return (
-            monotone_certified(node.left)
-            and monotone_certified(node.right)
-            and nonneg_certified(node.left)
-            and nonneg_certified(node.right)
-        )
-    if isinstance(node, Power):
-        return node.exponent >= 0 and monotone_certified(node.base) and nonneg_certified(node.base)
-    return False
-
-
-def right_limit_at_zero(node: Node) -> float:
-    """Exact lim_{t -> 0+} of the expression.
-
-    Every combiner in the grammar (sum, difference, product, min, max, power
-    with fixed exponent) is continuous, and every atom has a known right
-    limit at 0, so the limit always exists and is computed exactly.
-    """
+        return _fold_piecewise(node, kids)
     if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return 0.0
-    if isinstance(node, CantorHat):
-        return 0.0
-    if isinstance(node, StepAbove):
-        return node.height
-    if isinstance(node, Sum):
-        return right_limit_at_zero(node.left) + right_limit_at_zero(node.right)
-    if isinstance(node, Difference):
-        return right_limit_at_zero(node.left) - right_limit_at_zero(node.right)
-    if isinstance(node, Product):
-        return right_limit_at_zero(node.left) * right_limit_at_zero(node.right)
-    if isinstance(node, Power):
-        return _pow(right_limit_at_zero(node.base), node.exponent)
-    if isinstance(node, Min):
-        return min(right_limit_at_zero(node.left), right_limit_at_zero(node.right))
+        v = node.value
+        const, nonneg, positive, up, down, limit = v, v >= 0, v > 0, True, True, v
+    elif isinstance(node, (Var, CantorHat)):  # G(t) >= G(3**-k) = 2**-k > 0 for t > 0
+        const, nonneg, positive, up, down, limit = None, True, True, True, False, 0.0
+    elif isinstance(node, StepAbove):
+        h = node.height
+        const, nonneg, positive, up, down, limit = None, h >= 0, h > 0, h >= 0, h <= 0, h
+    elif isinstance(node, Power):
+        (base,), p = kids, node.exponent
+        const = None if base.const is None else _pow(base.const, p)
+        flat = p == 0  # x**0 == 1, 0**0 and nan**0 included
+        nonneg, positive = flat or base.nonneg, flat or base.positive
+        up = flat or (p > 0 and base.nonneg and base.up)
+        down = flat or (p > 0 and base.nonneg and base.down)
+        try:
+            limit = _pow(base.limit, p)
+        except UndefinedValue:
+            limit = math.nan
+    else:
+        left, right = kids
+        op = _SCALAR[type(node)]
+        const = None if left.const is None or right.const is None else op(left.const, right.const)
+        nonneg, positive, up, down = _combine(node, left, right)
+        limit = op(left.limit, right.limit)
+        if isinstance(node, Product) and {abs(left.limit), abs(right.limit)} == {0.0, INF}:
+            limit = 0.0  # a zero factor beats an overflowed one, finite over the reals
+    if const is not None:
+        up = down = True
+        nonneg, positive = nonneg or const >= 0, positive or const > 0
+    return Facts(
+        const, nonneg, positive, up, down, limit,
+        inf=limit if up and limit == limit else None,  # a nondecreasing f starts at its infimum
+        continuous=all(k.continuous for k in kids),
+        first_negative=node if const is not None and const < 0 else _first_negative(kids),
+    )
+
+
+def _combine(node: Node, left: Facts, right: Facts) -> tuple[bool, bool, bool, bool]:
+    """(nonneg, positive, up, down) of a binary node from its operands' facts."""
+    if isinstance(node, Difference):  # l - r rises as l rises and r falls
+        return False, False, left.up and right.down, left.down and right.up
+    up, down = left.up and right.up, left.down and right.down
     if isinstance(node, Max):
-        return max(right_limit_at_zero(node.left), right_limit_at_zero(node.right))
-    if isinstance(node, Piecewise):
-        for p in node.pieces:
-            if p.upper > 0:  # first piece intersecting (0, delta)
-                return right_limit_at_zero(p.expr)
-        raise DomainGap("no piece intersects (0, inf)")  # unreachable
-    raise TypeError(f"unknown node {node!r}")
+        return left.nonneg or right.nonneg, left.positive or right.positive, up, down
+    nonneg, positive = left.nonneg and right.nonneg, left.positive and right.positive
+    if isinstance(node, Sum):  # one term > 0 and both >= 0 on (0, inf)
+        positive = (left.positive or right.positive) and all(
+            k.positive or k.nonneg for k in (left, right))
+    if isinstance(node, Product):  # factors scale each other monotonically only when >= 0
+        up, down = up and nonneg, down and nonneg
+    return nonneg, positive, up, down
+
+
+def _first_negative(kids: list[Facts]) -> Optional[Node]:
+    return next((k.first_negative for k in kids if k.first_negative is not None), None)
+
+
+def _fold_piecewise(node: Piecewise, kids: list[Facts]) -> Facts:
+    """Pieces meet at their boundary values. With every piece nondecreasing
+    and f_i(b) <= f_{i+1}(b) at each inner boundary b, t < b < s gives
+    f_i(t) <= f_i(b) <= f_{i+1}(b) <= f_{i+1}(s), with no continuity needed;
+    the same holds downwards. A value that is undefined proves nothing."""
+    ends = [_ends(piece) for piece in node.pieces]
+    joints = [(a[1], b[0]) for a, b in zip(ends, ends[1:])]
+    defined = all(x is not None and y is not None for x, y in joints)
+    up = all(k.up for k in kids) and defined and all(x <= y for x, y in joints)
+    down = all(k.down for k in kids) and defined and all(x >= y for x, y in joints)
+    live = [(p, k, e[0]) for p, k, e in zip(node.pieces, kids, ends) if p.upper > 0]
+    return Facts(
+        None, all(k.nonneg for k in kids), all(k.positive for _, k, _ in live), up, down,
+        limit=live[0][1].limit,  # the first piece meeting (0, delta)
+        inf=_piecewise_inf(live), continuous=False, first_negative=_first_negative(kids),
+    )
+
+
+def _ends(piece: Piece) -> tuple[Optional[float], Optional[float]]:
+    """The piece's expression at its finite ends, from one walk; None where
+    it is undefined."""
+    ts = np.array([piece.lower, piece.upper] if math.isfinite(piece.upper) else [piece.lower])
+    values, errors = _evaluate_many(piece.expr, ts)
+    ends = [None if k in errors or v != v else v for k, v in enumerate(values.tolist())]
+    return ends[0], ends[-1] if len(ends) == 2 else None
+
+
+def _piecewise_inf(live) -> Optional[float]:
+    """Infimum over (0, inf) when every piece meeting it is nondecreasing:
+    the least of each piece's right limit at 0 or value at its left end. A
+    value at an open end is the piece's infimum only if the expression is
+    continuous there."""
+    values = []
+    for piece, k, at_lower in live:
+        if not k.up:
+            return None
+        if piece.lower == 0.0:
+            values.append(k.limit if k.limit == k.limit else None)
+        else:
+            values.append(at_lower if piece.closed_lower or k.continuous else None)
+    return None if None in values else min(values)

@@ -39,7 +39,7 @@ from .expr import (
     StepAbove,
     Sum,
     Var,
-    first_negative_fold,
+    facts,
     to_text,
 )
 
@@ -207,7 +207,7 @@ def parse_function_spec(text: str) -> FunctionSpec:
     kind, tok_text, pos = parser.peek()
     if kind != "eof":
         raise SpecSyntaxError(f"trailing input {tok_text!r}", pos)
-    bad = first_negative_fold(root)
+    bad = facts(root).first_negative
     if bad is not None:
         raise NegativeValueRisk(
             f"subexpression {to_text(bad)!r} is a negative constant"

@@ -1,9 +1,9 @@
 """Analytic property probes for function specs.
 
 A verdict holds or fails with a witness. `Holds` with ``exact=True`` means
-a structural certificate decided the property; otherwise `Holds` only means
-"no violation within the probe budget". `FailsWithWitness` always carries a
-witness that `verify_witness` reproduces by replaying its check, so a
+a fact of the `expr.facts` fold decided the property; otherwise `Holds` only
+means "no violation within the probe budget". `FailsWithWitness` always
+carries a witness that `verify_witness` reproduces by replaying its check, so a
 failing verdict is exact by construction. Sampled checks take an explicit
 seed, recorded in the verdict for replay; violation selection is
 order-independent (fixed probes first, then the lexicographically smallest
@@ -19,15 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .expr import (
-    FunctionSpec,
-    Piecewise,
-    breakpoints,
-    monotone_certified,
-    positive_certified,
-    right_limit_at_zero,
-    value_at,
-)
+from .expr import FunctionSpec, UndefinedValue, breakpoints, facts
 
 PROBE_GRID = 2.0 ** np.linspace(-60.0, 60.0, 241)  # half-integer exponents
 DEFAULT_SAMPLE_BUDGET = 4096
@@ -103,14 +95,14 @@ def _first_nonamenable(spec: FunctionSpec, grid: np.ndarray) -> tuple[Optional[d
 def check_amenable(spec: FunctionSpec) -> PropertyVerdict:
     """f(0) = 0 and f > 0 on (0, inf).
 
-    The grid runs even when a positivity certificate applies: the certificate
-    reasons over the reals, and a value that underflows to 0 in floats still
-    fails. A grid-clean `holds` is exact when the certificate applies.
+    The grid runs even when the facts fold proves f > 0: the proof reasons
+    over the reals, and a value that underflows to 0 in floats still fails.
+    A grid-clean `holds` is exact when the proof applies.
     """
     witness, used = _first_nonamenable(spec, probe_points(spec, include_zero=True))
     if witness is not None:
         return PropertyVerdict(Status.FAILS, witness, used, exact=True)
-    return PropertyVerdict(Status.HOLDS, None, used, exact=positive_certified(spec.root))
+    return PropertyVerdict(Status.HOLDS, None, used, exact=facts(spec.root).positive)
 
 
 def _first_inversion(spec: FunctionSpec, grid: np.ndarray) -> Optional[dict]:
@@ -130,7 +122,7 @@ def _first_inversion(spec: FunctionSpec, grid: np.ndarray) -> Optional[dict]:
 def check_increasing(spec: FunctionSpec) -> PropertyVerdict:
     """Monotone nondecreasing on [0, inf) ("increasing" in the weak sense),
     witnessed by the first inversion on the grid."""
-    if monotone_certified(spec.root):
+    if facts(spec.root).up:
         return PropertyVerdict(Status.HOLDS, None, 0, exact=True)
     grid = probe_points(spec, include_zero=True)
     witness = _first_inversion(spec, grid)
@@ -220,7 +212,9 @@ def check_subadditive(
 
 def _continuity_break(spec: FunctionSpec, t: float) -> Optional[dict]:
     """The witness that f(0) differs from its exact right limit at 0, or None."""
-    f0, limit = spec(0.0), right_limit_at_zero(spec.root)
+    f0, limit = spec(0.0), facts(spec.root).limit
+    if limit != limit:
+        raise UndefinedValue(f"{spec.source} has no computable right limit at 0")
     if limit == f0:
         return None
     return {"t": t, "f_t": spec(t), "f_0": f0, "right_limit": limit}
@@ -229,9 +223,11 @@ def _continuity_break(spec: FunctionSpec, t: float) -> Optional[dict]:
 def check_continuous_at_zero(spec: FunctionSpec) -> PropertyVerdict:
     """lim_{t -> 0+} f(t) = f(0).
 
-    The right limit at 0 is computed exactly for every tree in the grammar
-    (all combiners are continuous and all atoms have known limits), so the
-    verdict is exact; the dyadic probe 2**-60 only furnishes the witness.
+    The right limit at 0 exists over the reals for every tree in the grammar
+    (all combiners are continuous and all atoms have known limits), and the
+    facts fold computes it, so the verdict is exact; the dyadic probe 2**-60
+    only furnishes the witness. A limit the fold cannot compute (inf - inf,
+    or a fractional power of a negative limit) raises UndefinedValue.
     """
     witness = _continuity_break(spec, 2.0**-60)
     status = Status.HOLDS if witness is None else Status.FAILS
@@ -239,38 +235,18 @@ def check_continuous_at_zero(spec: FunctionSpec) -> PropertyVerdict:
 
 
 def inf_on_positive(spec: FunctionSpec) -> InfimumBound:
-    """Infimum of f over (0, inf); exact when a structural argument applies.
+    """Infimum of f over (0, inf); exact when the facts fold decides it.
 
-    For a nondecreasing tree the infimum is the right limit at 0; a piecewise
-    spec whose pieces are each nondecreasing attains its infimum among the
-    piece left endpoints.
+    A nondecreasing tree starts at its right limit at 0; a piecewise spec
+    whose pieces each rise has the least of their infima: the right limit at
+    0 of the first, and each other's value at its left end where that end is
+    closed or the expression continuous.
     """
-    exact = _symbolic_inf(spec.root)
+    exact = facts(spec.root).inf
     if exact is not None:
         return InfimumBound(exact, True)
     estimate = min(spec.values(probe_points(spec)).tolist())
     return InfimumBound(estimate, False)
-
-
-def _symbolic_inf(node) -> Optional[float]:
-    if isinstance(node, Piecewise):
-        values = []
-        for p in node.pieces:
-            if p.upper <= 0:
-                continue  # the piece meets (0, inf) nowhere
-            if not monotone_certified(p.expr):
-                return None
-            at = max(p.lower, 0.0)
-            if at == 0.0:
-                values.append(right_limit_at_zero(p.expr))
-            else:
-                # piece expressions are continuous on (0, inf), so the value
-                # at the left endpoint is the infimum over the piece either way
-                values.append(value_at(p.expr, at))
-        return min(values) if values else None
-    if monotone_certified(node):
-        return right_limit_at_zero(node)
-    return None
 
 
 def verify_witness(spec: FunctionSpec, witness: dict, key: str) -> bool:

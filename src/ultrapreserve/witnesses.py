@@ -204,7 +204,9 @@ def verify_certificate(cert: WitnessCertificate) -> bool:
     every stored part exactly; False, never an error, otherwise. The source
     space must be a valid ultrametric and the image f of its every entry; a
     pu certificate's source is the space its parameters name and its kind
-    and violation are the image's first defect; a covering table is recounted."""
+    and violation are the image's first defect; a covering certificate's
+    source is the truncation its levels and ratio rebuild, with its level
+    sequence, and its table is recounted."""
     try:
         spec = parse_function_spec(cert.function)
         before = validate_space(cert.space_before.dist, cert.space_before.labels)
@@ -212,8 +214,13 @@ def verify_certificate(cert: WitnessCertificate) -> bool:
         if not is_ultrametric(before)[0] or cert.space_after != after:
             return False
         if cert.kind == "covering_divergence":
-            table = _covering_table(before, after, cert.parameters["inf_bound"])
-            return cert.violation == table and table["covering_after"] == len(before)
+            p = cert.parameters
+            if p["levels"] != len(before):  # first, so a forged count builds nothing
+                return False
+            source, levels = tbu_noncompact_truncation(p["levels"], p["ratio"])
+            table = _covering_table(before, after, p["inf_bound"])
+            return (before == source and p["level_sequence"] == list(levels.values)
+                    and cert.violation == table and table["covering_after"] == len(before))
         return (cert.space_before == _space_before(cert.parameters)
                 and (cert.kind, cert.violation) == _first_defect(after))
     except (ValueError, KeyError, TypeError, AttributeError):

@@ -5,6 +5,8 @@ The Cantor expectations are frozen from an exact-rational digit oracle
 rational with integer arithmetic and never touches the float code path.
 The batch walker is held to a scalar walker kept here (`evaluate`), which
 computes one point at a time in Python floats: same bits, same first error.
+The `facts` fold is held to the walker on the probe grid and to the
+certifiers it replaced, kept here as the oracle that it loses nothing.
 """
 
 import math
@@ -34,12 +36,11 @@ from ultrapreserve.expr import (
     Sum,
     Var,
     _evaluate_many,
-    fold_constant,
-    monotone_certified,
-    positive_certified,
-    right_limit_at_zero,
+    facts,
     to_text,
+    walk as subtrees,
 )
+from ultrapreserve.properties import probe_points
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,89 @@ def scalar_call(spec: FunctionSpec, t: float) -> float:
     if value != value:  # NaN
         raise UndefinedValue(f"{spec.source} is undefined (NaN) at t = {t!r}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# The certifiers the facts fold replaced: the no-loss oracle of `facts`
+
+
+def nonneg_certified(node) -> bool:
+    """No subtraction, and nonnegative literals."""
+    for sub in subtrees(node):
+        if isinstance(sub, Difference):
+            return False
+        if isinstance(sub, Const) and sub.value < 0:
+            return False
+        if isinstance(sub, StepAbove) and sub.height < 0:
+            return False
+        if isinstance(sub, Power) and sub.exponent < 0:
+            return False
+    return True
+
+
+def positive_certified(node) -> bool:
+    if isinstance(node, Const):
+        return node.value > 0
+    if isinstance(node, (Var, CantorHat)):
+        return True
+    if isinstance(node, StepAbove):
+        return node.height > 0
+    if isinstance(node, Sum):
+        l, r = node.left, node.right
+        if not (nonneg_certified(l) and nonneg_certified(r)):
+            return False
+        return positive_certified(l) or positive_certified(r)
+    if isinstance(node, (Product, Min)):
+        return positive_certified(node.left) and positive_certified(node.right)
+    if isinstance(node, Max):
+        return positive_certified(node.left) or positive_certified(node.right)
+    if isinstance(node, Power):
+        if node.exponent == 0:
+            return True
+        return node.exponent > 0 and positive_certified(node.base)
+    if isinstance(node, Piecewise):
+        return all(positive_certified(p.expr) for p in node.pieces if p.upper > 0)
+    return False
+
+
+def monotone_certified(node) -> bool:
+    if isinstance(node, (Const, Var, CantorHat)):
+        return True
+    if isinstance(node, StepAbove):
+        return node.height >= 0
+    if isinstance(node, (Sum, Min, Max)):
+        return monotone_certified(node.left) and monotone_certified(node.right)
+    if isinstance(node, Product):
+        return (monotone_certified(node.left) and monotone_certified(node.right)
+                and nonneg_certified(node.left) and nonneg_certified(node.right))
+    if isinstance(node, Power):
+        return node.exponent >= 0 and monotone_certified(node.base) and nonneg_certified(node.base)
+    return False
+
+
+def right_limit_at_zero(node) -> float:
+    """Limits combined as values are; inf * 0 gives NaN."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, (Var, CantorHat)):
+        return 0.0
+    if isinstance(node, StepAbove):
+        return node.height
+    if isinstance(node, Sum):
+        return right_limit_at_zero(node.left) + right_limit_at_zero(node.right)
+    if isinstance(node, Difference):
+        return right_limit_at_zero(node.left) - right_limit_at_zero(node.right)
+    if isinstance(node, Product):
+        return right_limit_at_zero(node.left) * right_limit_at_zero(node.right)
+    if isinstance(node, Power):
+        return _pow(right_limit_at_zero(node.base), node.exponent)
+    if isinstance(node, Min):
+        return min(right_limit_at_zero(node.left), right_limit_at_zero(node.right))
+    if isinstance(node, Max):
+        return max(right_limit_at_zero(node.left), right_limit_at_zero(node.right))
+    if isinstance(node, Piecewise):
+        return right_limit_at_zero(next(p.expr for p in node.pieces if p.upper > 0))
+    raise TypeError(f"unknown node {node!r}")
 
 
 G = FunctionSpec.from_node(CantorHat())
@@ -254,23 +338,38 @@ class TestEvaluate:
 
 class TestFoldConstant:
     def test_constant_folds(self):
-        assert fold_constant(Sum(Const(1.0), Power(Const(4.0), 0.5))) == 3.0
+        assert facts(Sum(Const(1.0), Power(Const(4.0), 0.5))).const == 3.0
 
     def test_inf_minus_inf_folds_to_nan(self):
-        assert math.isnan(fold_constant(_NAN))
+        assert math.isnan(facts(_NAN).const)
+
+    def test_a_tree_with_t_has_no_constant(self):
+        assert facts(Sum(Const(1.0), Var())).const is None
+
+    def test_undefined_constant_raises_as_the_walker_does(self):
+        with pytest.raises(UndefinedValue, match=r"pow\(-1\.0, 0\.5\)"):
+            facts(Sum(Var(), Power(Difference(Const(1.0), Const(2.0)), 0.5)))
+
+    def test_first_negative_is_the_first_in_preorder(self):
+        inner = Difference(Const(1.0), Const(2.0))
+        outer = Difference(Const(0.0), Const(5.0))
+        assert facts(Sum(Var(), inner)).first_negative == inner
+        assert facts(Sum(Var(), Sum(outer, inner))).first_negative == Sum(outer, inner)
+        assert facts(Sum(Sum(Var(), outer), inner)).first_negative == outer
+        assert facts(Sum(Var(), Const(1.0))).first_negative is None
 
 
 class TestAnalyses:
     def test_right_limit_atoms(self):
-        assert right_limit_at_zero(Var()) == 0.0
-        assert right_limit_at_zero(Const(2.0)) == 2.0
-        assert right_limit_at_zero(CantorHat()) == 0.0
-        assert right_limit_at_zero(StepAbove(3.0)) == 3.0
+        assert facts(Var()).limit == 0.0
+        assert facts(Const(2.0)).limit == 2.0
+        assert facts(CantorHat()).limit == 0.0
+        assert facts(StepAbove(3.0)).limit == 3.0
 
     def test_right_limit_composite(self):
         # t + step_above(1): limit 1, value at 0 is 0
         node = Sum(Var(), StepAbove(1.0))
-        assert right_limit_at_zero(node) == 1.0
+        assert facts(node).limit == 1.0
         assert FunctionSpec.from_node(node)(0.0) == 0.0
 
     def test_right_limit_piecewise_skips_degenerate_piece(self):
@@ -280,23 +379,60 @@ class TestAnalyses:
                 Piece(0.0, math.inf, False, False, Sum(Var(), Const(1.0))),
             )
         )
-        assert right_limit_at_zero(node) == 1.0
+        assert facts(node).limit == 1.0
+
+    def test_zero_factor_beats_an_overflowed_limit(self):
+        # (step_above(1e308) + step_above(1e308)) * t: inf * 0 in floats, 0 over the reals
+        overflowed = Sum(StepAbove(1e308), StepAbove(1e308))
+        assert facts(Product(overflowed, Var())).limit == 0.0
+        assert facts(Product(Var(), overflowed)).limit == 0.0
+        assert math.isnan(facts(Difference(overflowed, overflowed)).limit)
 
     def test_monotone_certificate(self):
-        assert monotone_certified(Sum(Var(), Product(Var(), Var())))
-        assert monotone_certified(Min(CantorHat(), Var()))
-        assert not monotone_certified(Difference(Var(), Const(1.0)))
-        assert not monotone_certified(
-            Piecewise((Piece(0.0, math.inf, True, False, Var()),))
-        )
+        assert facts(Sum(Var(), Product(Var(), Var()))).up
+        assert facts(Min(CantorHat(), Var())).up
+        assert facts(Difference(Var(), Const(1.0))).up
+        assert facts(Piecewise((Piece(0.0, math.inf, True, False, Var()),))).up
+        falling = facts(Difference(Const(1.0), Var()))
+        assert not falling.up and falling.down
+
+    def test_piecewise_is_monotone_across_its_boundaries(self):
+        def glued(low, high):
+            return facts(Piecewise((Piece(0.0, 1.0, True, False, low),
+                                    Piece(1.0, math.inf, True, False, high))))
+
+        assert glued(Var(), Const(1.0)).up  # meets at 1
+        assert glued(Var(), Sum(Var(), Const(1.0))).up  # jumps up at 1
+        assert not glued(Sum(Var(), Const(1.0)), Var()).up  # jumps down at 1
+        assert glued(Const(2.0), Const(1.0)).down
+        assert not glued(Const(1.0), Const(2.0)).down
+        # the high piece is undefined at 1: pow(-1, 0.5)
+        assert not glued(Const(0.0), Power(Difference(Var(), Const(2.0)), 0.5)).up
 
     def test_positive_certificate(self):
-        assert positive_certified(Var())
-        assert positive_certified(Product(Const(2.0), Var()))
-        assert positive_certified(StepAbove(1.0))
-        assert not positive_certified(Const(0.0))
-        assert not positive_certified(StepAbove(0.0))
-        assert not positive_certified(Max(Const(0.0), Difference(Var(), Const(1.0))))
+        assert facts(Var()).positive
+        assert facts(Product(Const(2.0), Var())).positive
+        assert facts(StepAbove(1.0)).positive
+        assert not facts(Const(0.0)).positive
+        assert not facts(StepAbove(0.0)).positive
+        assert not facts(Max(Const(0.0), Difference(Var(), Const(1.0)))).positive
+        assert facts(Max(Var(), Difference(Var(), Const(1.0)))).positive
+        assert not facts(Min(Var(), Difference(Var(), Const(1.0)))).positive
+
+    def test_infimum_of_pieces(self):
+        rising = Piecewise((Piece(0.0, 1.0, True, True, Var()),
+                            Piece(1.0, math.inf, False, False, Const(0.5))))
+        assert facts(rising).inf == 0.0
+        assert facts(Piecewise((Piece(0.0, 1.0, True, True, Const(3.0)),
+                                Piece(1.0, math.inf, False, False, Var())))).inf == 1.0
+        # an open left end is the infimum only where the expression is continuous:
+        # the nested piecewise is 0 at 1 and 5 on (1, inf)
+        nested = Piecewise((Piece(0.0, 1.0, True, True, Const(0.0)),
+                            Piece(1.0, math.inf, False, False, Const(5.0))))
+        outer = Piecewise((Piece(0.0, 1.0, True, True, Const(7.0)),
+                           Piece(1.0, math.inf, False, False, nested)))
+        assert facts(outer).inf is None
+        assert facts(Difference(Const(1.0), Var())).inf is None
 
 
 @given(
@@ -454,3 +590,51 @@ class TestEvaluateMany:
         assert spec.values(np.array([3.0])).tolist() == [1.0]
         with pytest.raises(UndefinedValue, match=r"pow\(-1\.0, 0\.5\)"):
             spec.values(np.array([3.0, 1.0, 0.0]))
+
+
+def _limit_meets_no_nan(node) -> bool:
+    """The old limit of every subtree is a number: none met inf * 0, inf - inf
+    or an undefined pow."""
+    for sub in subtrees(node):
+        try:
+            if math.isnan(right_limit_at_zero(sub)):
+                return False
+        except UndefinedValue:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+@example(Product(Sum(StepAbove(1e308), StepAbove(1e308)), Var()))  # inf * 0 at the limit
+@example(Piecewise((Piece(0.0, 1.0, True, True, Var()),
+                    Piece(1.0, math.inf, False, False, Sum(Var(), Const(1.0))))))
+def test_facts_are_sound_and_lose_nothing(node):
+    """No fact is contradicted by the walker on the probe grid (from 0, at the
+    points where f is defined), constants fold to the walker's bits at 0, the
+    limit is the old one wherever that met no NaN, and every tree the old
+    certifiers certified is still certified."""
+    try:
+        fx = facts(node)
+    except UndefinedValue:  # an undefined constant: the parser refuses the tree
+        return
+    spec = FunctionSpec.from_node(node)
+    grid = probe_points(spec, include_zero=True)
+    values, errors = spec.try_values(grid)
+    defined = np.ones(len(grid), dtype=bool)
+    defined[list(errors)] = False
+    t, v = grid[defined], values[defined]
+    assert not fx.up or (v[:-1] <= v[1:]).all(), spec.source
+    assert not fx.down or (v[:-1] >= v[1:]).all(), spec.source
+    assert not fx.nonneg or (v >= 0.0).all(), spec.source
+    assert not fx.positive or (v[t > 0.0] >= 0.0).all(), spec.source  # a product may underflow
+    assert fx.inf is None or (v[t > 0.0] >= fx.inf).all(), spec.source
+    for sub in subtrees(node):
+        const = facts(sub).const
+        if const is not None:
+            at_zero, _ = walk(sub, np.array([0.0]))
+            assert _bits(const) == _bits(at_zero[0]), to_text(sub)
+    if _limit_meets_no_nan(node):
+        assert _bits(fx.limit) == _bits(right_limit_at_zero(node)), spec.source
+    assert fx.up or not monotone_certified(node), spec.source
+    assert fx.positive or not positive_certified(node), spec.source

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from test_expr import _trees
 from ultrapreserve.classify import classification_report
 from ultrapreserve.cli import main
-from ultrapreserve.expr import FunctionSpec, breakpoints
+from ultrapreserve.expr import FunctionSpec, UndefinedValue, breakpoints
 from ultrapreserve.parser import parse_function_spec
 from ultrapreserve.properties import (
     BREAKPOINT_OFFSET,
@@ -122,8 +122,13 @@ class TestIncreasing:
         }
 
     def test_piecewise_monotone_holds_within_budget(self):
+        # every piece rises and the boundary values rise, so the fold certifies it
         v = check_increasing(spec("piecewise { [0,0]: 0; (0,inf): t + 1 }"))
-        assert v.holds and not v.exact
+        assert v.holds and v.exact and v.budget_used == 0
+
+    def test_piecewise_with_a_rising_piece_may_still_fall(self):
+        v = check_increasing(spec("piecewise { [0,1): t + 1; [1,inf): t }"))
+        assert v.fails and v.witness["t2"] == 1.0
 
 
 class TestSubadditive:
@@ -171,6 +176,11 @@ class TestContinuousAtZero:
         v = check_continuous_at_zero(spec("piecewise { [0,0]: 0; (0,inf): t + 1 }"))
         assert v.fails and v.witness["right_limit"] == 1.0
 
+    def test_uncomputable_limit_raises(self):
+        # sqrt(t - 1e-300) is undefined on (0, 1e-300), below every grid point
+        with pytest.raises(UndefinedValue, match="no computable right limit at 0"):
+            check_continuous_at_zero(spec("pow(t - step_above(1e-300), 0.5)"))
+
 
 class TestInfOnPositive:
     def test_step_above_exact(self):
@@ -191,9 +201,20 @@ class TestInfOnPositive:
         assert bound.estimate == 1.0 and bound.exact
 
     def test_non_monotone_is_numeric(self):
-        bound = inf_on_positive(spec("max(0, t - 1)"))
+        bound = inf_on_positive(spec("pow(t - 1, 2)"))
         assert not bound.exact
         assert bound.estimate == 0.0
+
+    def test_planted_zero_is_exact(self):
+        # t - 1 rises, so max(0, t - 1) does and starts at its infimum
+        bound = inf_on_positive(spec("max(0, t - 1)"))
+        assert bound.estimate == 0.0 and bound.exact
+
+    def test_open_end_of_a_nested_piecewise_is_no_infimum(self):
+        # the inner piecewise is 0 at t = 1 but 5 on (1, inf)
+        inner = "piecewise { [0,1]: 0; (1,inf): 5 }"
+        bound = inf_on_positive(spec(f"piecewise {{ [0,1]: 7; (1,inf): {inner} }}"))
+        assert bound.estimate == 5.0 and not bound.exact
 
 
 class TestVerifyTripleWitness:

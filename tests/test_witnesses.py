@@ -158,6 +158,18 @@ def test_pinned_disagreements_now_agree(text, kind, parameters):
     assert code == 0 and doc["kind"] == kind and doc["parameters"] == parameters
 
 
+CASE_F = "(step_above(1e+308) + step_above(1e+308)) * t"  # inf on (0, inf) in floats
+
+
+def test_zero_factor_makes_an_overflowed_product_continuous():
+    """The right limit at 0 is 0 * (an overflowed 2e308), 0 over the reals,
+    so continuity holds exactly and the report is strict JSON."""
+    code, out = _run("classify", CASE_F)
+    verdict = json.loads(out)["verdicts"]["strongly_preserving"]
+    assert code == 0 and verdict["status"] == "holds" and verdict["exact"]
+    assert _run("witness", CASE_F, "--mode", "pu")[0] == 4
+
+
 GOLDEN = Path(__file__).parent / "golden" / "witness_seed0.json"
 
 
@@ -325,6 +337,24 @@ class TestCertificateReplay:
         forged = dataclasses.replace(cert, space_before=before, space_after=after, violation=table)
         assert not verify_certificate(forged)
 
+    @pytest.mark.parametrize(
+        "forgery",
+        [
+            {"level_sequence": [9.0], "ratio": 0.75, "levels": 99},
+            {"level_sequence": [9.0]},
+            {"ratio": 0.75},
+            {"levels": 99},
+            {"levels": 10**12},
+        ],
+    )
+    def test_covering_parameters_must_rebuild_the_source(self, forgery):
+        cert = witness_not_strongly_preserving(spec("step_above(1)"), n_levels=8)
+        sequence = cert.parameters["level_sequence"]
+        if "level_sequence" in forgery:
+            forgery = {**forgery, "level_sequence": [9.0, *sequence[1:]]}
+        forged = dataclasses.replace(cert, parameters={**cert.parameters, **forgery})
+        assert verify_certificate(cert) and not verify_certificate(forged)
+
     def test_image_is_f_of_the_source_diagonal_included(self):
         cert = witness_not_ultrametric_preserving(spec("1 + " + INVERSION))
         assert cert.kind == "isosceles_inversion"
@@ -364,10 +394,7 @@ class TestCertificateReplay:
     )
     def test_golden_certificate_replays_and_pins_every_number(self, doc):
         assert verify_certificate(_certificate_from_json(doc))
-        parts = ["space_before", "space_after", "violation"]
-        if doc["kind"] != "covering_divergence":
-            parts.append("parameters")
-        for part in parts:
+        for part in ["space_before", "space_after", "violation", "parameters"]:
             for path in _number_paths(doc[part], (part,)):
                 assert not verify_certificate(_certificate_from_json(_nudged(doc, path))), path
 
