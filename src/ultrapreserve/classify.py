@@ -79,7 +79,8 @@ def _sample_two_largest_equal(rng: np.random.Generator, count: int) -> np.ndarra
     """Triples whose two largest entries agree, generated directly: the
     constraint set is thin near degenerate triples and rejection covers it
     poorly, so (a, b, b) with a <= b is drawn and then permuted."""
-    a, b = np.sort(log_uniform(rng, (count, 2)), axis=1).T
+    x, y = log_uniform(rng, (count, 2)).T
+    a, b = np.minimum(x, y), np.maximum(x, y)
     return rng.permuted(np.column_stack([a, b, b]), axis=1)
 
 

@@ -17,13 +17,15 @@ known of a tree without a grid: its constant value, whether it is >= 0 on
 that folds to a negative constant. Its proofs reason over the reals and hold
 in floats because rounding is monotone; a difference l - r rises when l
 rises and r falls, and a piecewise tree rises when every piece does and the
-values at each inner boundary rise. The checks read the record: `up` skips
+values at each inner boundary rise. A spec folds its tree once, on the first
+read of `FunctionSpec.facts`. The checks read the record: `up` skips
 the monotonicity grid, `positive` marks a grid-clean amenability verdict
 exact, `limit` decides continuity at 0 and `inf` the infimum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -383,6 +385,12 @@ class FunctionSpec:
         for k in np.flatnonzero(~(ts >= 0.0)).tolist():
             errors[k] = NegativeInput(float(ts[k]))
         return values, errors
+
+    @functools.cached_property
+    def facts(self) -> Facts:
+        """`facts(self.root)`, folded on first read and kept on this spec; a
+        fold that raises raises again on every read."""
+        return facts(self.root)
 
     @classmethod
     def from_node(cls, node: Node) -> "FunctionSpec":

@@ -39,7 +39,6 @@ from .expr import (
     StepAbove,
     Sum,
     Var,
-    facts,
     to_text,
 )
 
@@ -207,12 +206,13 @@ def parse_function_spec(text: str) -> FunctionSpec:
     kind, tok_text, pos = parser.peek()
     if kind != "eof":
         raise SpecSyntaxError(f"trailing input {tok_text!r}", pos)
-    bad = facts(root).first_negative
+    spec = FunctionSpec(root, text.strip())
+    bad = spec.facts.first_negative
     if bad is not None:
         raise NegativeValueRisk(
             f"subexpression {to_text(bad)!r} is a negative constant"
         )
-    return FunctionSpec(root, text.strip())
+    return spec
 
 
 def parse_function_file(text: str) -> list[FunctionSpec]:

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .expr import FunctionSpec, UndefinedValue, breakpoints, facts
+from .expr import FunctionSpec, UndefinedValue, breakpoints
 
 PROBE_GRID = 2.0 ** np.linspace(-60.0, 60.0, 241)  # half-integer exponents
 DEFAULT_SAMPLE_BUDGET = 4096
@@ -102,7 +102,7 @@ def check_amenable(spec: FunctionSpec) -> PropertyVerdict:
     witness, used = _first_nonamenable(spec, probe_points(spec, include_zero=True))
     if witness is not None:
         return PropertyVerdict(Status.FAILS, witness, used, exact=True)
-    return PropertyVerdict(Status.HOLDS, None, used, exact=facts(spec.root).positive)
+    return PropertyVerdict(Status.HOLDS, None, used, exact=spec.facts.positive)
 
 
 def _first_inversion(spec: FunctionSpec, grid: np.ndarray) -> Optional[dict]:
@@ -122,7 +122,7 @@ def _first_inversion(spec: FunctionSpec, grid: np.ndarray) -> Optional[dict]:
 def check_increasing(spec: FunctionSpec) -> PropertyVerdict:
     """Monotone nondecreasing on [0, inf) ("increasing" in the weak sense),
     witnessed by the first inversion on the grid."""
-    if facts(spec.root).up:
+    if spec.facts.up:
         return PropertyVerdict(Status.HOLDS, None, 0, exact=True)
     grid = probe_points(spec, include_zero=True)
     witness = _first_inversion(spec, grid)
@@ -212,7 +212,7 @@ def check_subadditive(
 
 def _continuity_break(spec: FunctionSpec, t: float) -> Optional[dict]:
     """The witness that f(0) differs from its exact right limit at 0, or None."""
-    f0, limit = spec(0.0), facts(spec.root).limit
+    f0, limit = spec(0.0), spec.facts.limit
     if limit != limit:
         raise UndefinedValue(f"{spec.source} has no computable right limit at 0")
     if limit == f0:
@@ -242,7 +242,7 @@ def inf_on_positive(spec: FunctionSpec) -> InfimumBound:
     0 of the first, and each other's value at its left end where that end is
     closed or the expression continuous.
     """
-    exact = facts(spec.root).inf
+    exact = spec.facts.inf
     if exact is not None:
         return InfimumBound(exact, True)
     estimate = min(spec.values(probe_points(spec)).tolist())

@@ -24,6 +24,13 @@ BRUTE_NET_MAX_POINTS = 12
 # Below this size the O(n^2) Prim prescreen of is_ultrametric saves at most
 # ~0.2 ms a call over the cubic scan, and a rejected prescreen adds its cost to it.
 PRIM_MIN_POINTS = 72
+# Entries compared per numpy call of the triple scan: a block of
+# SCAN_BLOCK_ENTRIES // n**2 first indices (at least one), so one block covers
+# every row up to n = 25 and a block is 4 rows at n = 64. Four times as many
+# entries scan a passing matrix at n = 45..64 about 10% faster, but a block
+# then runs up to 16 rows past an early violation: 1.5x the time of one
+# numpy call per row at n = 64 with the violation at row 16.
+SCAN_BLOCK_ENTRIES = 2**14
 
 
 class SpaceValidationError(ValueError):
@@ -179,18 +186,28 @@ def _raise_entry_error(m: np.ndarray, i: int, j: int) -> None:
 
 def _first_violating_triple(d: np.ndarray, combine, kind: str) -> Optional[TripleViolation]:
     """Lexicographically first triple (i, j, k) of distinct points with
-    d[i, j] > combine(d[i, k], d[k, j]), one numpy comparison per first index."""
+    d[i, j] > combine(d[i, k], d[k, j]).
+
+    First indices are scanned in blocks of SCAN_BLOCK_ENTRIES // n**2 rows,
+    one numpy comparison per block: bad[b, j, k] for i = start + b. Only a
+    block with a flagged entry has its degenerate triples cleared, and its
+    first remaining entry in (b, j, k) order is the first violation, since
+    every earlier block had none."""
     n = d.shape[0]
+    block = max(1, SCAN_BLOCK_ENTRIES // max(1, n * n))
     columns = np.ascontiguousarray(d.T)  # columns[j, k] = d[k, j]
-    for i in range(n):
-        bad = d[i][:, None] > combine(d[i][None, :], columns)  # bad[j, k]
+    for start in range(0, n, block):
+        rows = d[start:start + block]
+        bad = rows[:, :, None] > combine(rows[:, None, :], columns)  # bad[b, j, k]
         if not bad.any():
             continue
-        bad[i, :] = False
-        bad[:, i] = False
-        np.fill_diagonal(bad, False)
-        j, k = divmod(int(bad.argmax()), n)
-        if bad[j, k]:
+        first, points = np.arange(len(rows)), np.arange(n)
+        bad[first, start + first, :] = False  # j == i
+        bad[first, :, start + first] = False  # k == i
+        bad[:, points, points] = False  # j == k
+        b, j, k = np.unravel_index(int(bad.argmax()), bad.shape)
+        if bad[b, j, k]:
+            i, j, k = start + int(b), int(j), int(k)
             rhs = float(combine(d[i, k], d[k, j]))
             return TripleViolation((i, j, k), float(d[i, j]), rhs, kind)
     return None
@@ -247,13 +264,19 @@ def is_metric(space: FiniteSemimetricSpace) -> tuple[bool, Optional[TripleViolat
     return violation is None, violation
 
 
+def _upper(n: int) -> np.ndarray:
+    """Mask of the entries above the diagonal of an n x n matrix; indexing
+    with it gives them in row-major order, as np.triu_indices(n, 1) does."""
+    k = np.arange(n)
+    return k[:, None] < k
+
+
 def distance_spectrum(space: FiniteSemimetricSpace) -> tuple[float, ...]:
     """Sorted distinct off-diagonal distances."""
     n = len(space)
     if n < 2:
         return ()
-    iu = np.triu_indices(n, 1)
-    return tuple(np.unique(space.dist[iu]).tolist())
+    return tuple(np.unique(space.dist[_upper(n)]).tolist())
 
 
 def min_positive_distance(space: FiniteSemimetricSpace) -> float:
@@ -261,8 +284,7 @@ def min_positive_distance(space: FiniteSemimetricSpace) -> float:
     exactly for eps below this value."""
     if len(space) < 2:
         raise TooFewPoints("min_positive_distance needs at least 2 points")
-    iu = np.triu_indices(len(space), 1)
-    return float(space.dist[iu].min())
+    return float(space.dist[_upper(len(space))].min())
 
 
 def apply_function(space: FiniteSemimetricSpace, f: FunctionSpec) -> FiniteSemimetricSpace:
@@ -272,8 +294,8 @@ def apply_function(space: FiniteSemimetricSpace, f: FunctionSpec) -> FiniteSemim
     bit-equal outputs; the first point where f fails or is not amenable, in
     the order 0 and then the ascending spectrum, raises as a scalar scan would.
     """
-    iu = np.triu_indices(len(space), 1)
-    spectrum, inverse = np.unique(space.dist[iu], return_inverse=True)
+    upper = _upper(len(space))
+    spectrum, inverse = np.unique(space.dist[upper], return_inverse=True)
     ts = np.concatenate(([0.0], spectrum))
     image, errors = f.try_values(ts)
     bad = ~(image > 0.0) | ~np.isfinite(image)
@@ -283,7 +305,7 @@ def apply_function(space: FiniteSemimetricSpace, f: FunctionSpec) -> FiniteSemim
         k = int(bad.argmax())
         raise errors.get(k) or NotAmenableOnSpectrum(float(ts[k]), float(image[k]))
     out = np.zeros_like(space.dist)
-    out[iu] = out.T[iu] = image[1:][inverse]
+    out[upper] = out.T[upper] = image[1:][inverse]
     return FiniteSemimetricSpace(space.labels, out)
 
 
@@ -329,8 +351,8 @@ def minimum_covering_number(
         raise TooLarge(f"brute-force net search refused for n = {n} > {max_points}")
     if n == 0:
         return 0
-    # ball i as a bitmask: bit j is set iff d(i, j) <= eps
-    balls = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in space.dist <= eps]
+    # ball i as a bitmask: bit j is set iff d(i, j) <= eps (Python ints, any n)
+    balls = ((space.dist <= eps) @ np.array([1 << j for j in range(n)], dtype=object)).tolist()
     everything = (1 << n) - 1
     for k in range(1, n + 1):
         for centers in itertools.combinations(balls, k):
@@ -352,10 +374,11 @@ def are_isometric_small(
         return False, None
     if distance_spectrum(a) != distance_spectrum(b):
         return False, None
-    n = len(a)
-    for perm in itertools.permutations(range(n)):
-        idx = list(perm)
-        if np.array_equal(a.dist, b.dist[np.ix_(idx, idx)]):
-            return True, {a.labels[i]: b.labels[perm[i]] for i in range(n)}
+    # Python floats compare as numpy does: -0.0 == 0.0 and NaN != NaN (two
+    # tolist calls never share a float object, so list equality cannot
+    # short-cut a NaN by identity)
+    rows_a, rows_b = a.dist.tolist(), b.dist.tolist()
+    for perm in itertools.permutations(range(len(a))):
+        if all(row == [rows_b[p][q] for q in perm] for row, p in zip(rows_a, perm)):
+            return True, dict(zip(a.labels, (b.labels[p] for p in perm)))
     return False, None
-

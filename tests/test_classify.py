@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ultrapreserve import classify
 from ultrapreserve.classify import (
     _sample_triangle_triples,
+    _sample_two_largest_equal,
     check_minmax_equation,
     check_triplet_preservation,
     classification_report,
@@ -241,6 +242,23 @@ class TestTriangleSampler:
         rng = np.random.default_rng(0)
         assert _sample_triangle_triples(rng, 0).shape == (0, 3)
         assert rng.uniform() == np.random.default_rng(0).uniform()
+
+
+def sample_two_largest_equal_by_sort(rng, count):
+    """Reference: the sampler as first written, ordering each pair by a sort."""
+    a, b = np.sort(classify.log_uniform(rng, (count, 2)), axis=1).T
+    return rng.permuted(np.column_stack([a, b, b]), axis=1)
+
+
+class TestTwoLargestEqualSampler:
+    @pytest.mark.parametrize("count", [0, 1, 300, 10_000])
+    def test_bit_identical_to_the_sorting_sampler(self, count):
+        for seed in (0, 1, 2, 17, 199, 2**40 + 3):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _sample_two_largest_equal(rng, count)
+            want = sample_two_largest_equal_by_sort(reference, count)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
+            assert rng.uniform() == reference.uniform()  # the streams stay in step
 
 
 GOLDEN = Path(__file__).parent / "golden" / "classify_seed0.json"

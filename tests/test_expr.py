@@ -358,6 +358,27 @@ class TestFoldConstant:
         assert facts(Sum(Sum(Var(), outer), inner)).first_negative == outer
         assert facts(Sum(Var(), Const(1.0))).first_negative is None
 
+    def test_a_spec_folds_once_and_a_failing_fold_raises_on_every_read(self):
+        spec = FunctionSpec.from_node(Sum(Var(), Const(1.0)))
+        assert spec.facts is spec.facts
+        assert spec.facts == facts(spec.root)
+        bad = FunctionSpec.from_node(Sum(Var(), Power(Difference(Const(1.0), Const(2.0)), 0.5)))
+        for _ in range(2):
+            with pytest.raises(UndefinedValue, match=r"pow\(-1\.0, 0\.5\)"):
+                bad.facts
+
+    @pytest.mark.parametrize("command", [["classify"], ["witness", "--mode", "pu"]])
+    def test_one_command_folds_its_spec_once(self, monkeypatch, capsys, command):
+        import ultrapreserve.expr as expr_module
+        from ultrapreserve.cli import main
+
+        folds = []
+        monkeypatch.setattr(expr_module, "facts", lambda node: folds.append(node) or facts(node))
+        source = "piecewise { [0,1): t; [1,2): 5; [2,inf): 3 }"
+        main([command[0], source, *command[1:]])
+        capsys.readouterr()
+        assert len(folds) == 1
+
 
 class TestAnalyses:
     def test_right_limit_atoms(self):

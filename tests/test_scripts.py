@@ -7,11 +7,11 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run_main(name, monkeypatch, capsys):
+def _run_main(name, monkeypatch, capsys, *args):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [f"{name}.py"])
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     code = module.main()
     return code, capsys.readouterr().out
 
@@ -28,3 +28,12 @@ def test_covering_divergence_isolates_every_level(monkeypatch, capsys):
     assert code == 0
     rows = [line.split() for line in out.splitlines()[3:]]  # below the header and rule
     assert [(int(r[0]), int(r[-1])) for r in rows] == [(4, 4), (8, 8), (16, 16), (32, 32)]
+
+
+def test_suite_criteria_times_all_nine(monkeypatch, capsys):
+    from ultrapreserve.suite import SuiteConfig, run_suite
+
+    code, out = _run_main("suite_criteria", monkeypatch, capsys, "--repeats", "1")
+    assert code == 0
+    names = [line.split()[0] for line in out.splitlines()[3:]]  # below the header and rule
+    assert names == [r.name for r in run_suite(SuiteConfig(trials=1)).results] + ["total"]

@@ -5,6 +5,8 @@ Independent oracles used here:
   * `three_subset_ultrametric` — exhaustive check over all 3-point subspaces;
   * `first_violation_oracle` — the first violating triple of distinct points
     by a plain triple loop, for both predicates on any matrix;
+  * `isometry_by_numpy_search` — the exhaustive isometry search with one
+    numpy comparison of the permuted matrix per permutation;
   * `component_covering` — for ultrametric spaces, d(x,y) <= eps is
     transitive, so the minimum net size equals the number of connected
     components of the threshold graph;
@@ -36,6 +38,7 @@ from ultrapreserve.spaces import (
     NotAmenableOnSpectrum,
     NotSquare,
     PRIM_MIN_POINTS,
+    SCAN_BLOCK_ENTRIES,
     SpaceValidationError,
     TooFewPoints,
     TooLarge,
@@ -51,6 +54,7 @@ from ultrapreserve.spaces import (
     validate_space,
     _equals_subdominant,
     _first_violating_triple,
+    _upper,
 )
 
 
@@ -115,6 +119,115 @@ def oracle_matrices(kind: str, count: int = 120, seed: int = 0):
             a, b = (int(x) for x in rng.choice(n, 2, replace=False))
             d[a, b] = d[b, a] = d.max() * float(rng.choice([1.5, 2.5, 4.0]))
         yield d
+
+
+def scan_block(n: int) -> int:
+    """First indices per numpy call of the triple scan at size n."""
+    return max(1, SCAN_BLOCK_ENTRIES // (n * n))
+
+
+def block_plant_matrices(n: int, seed: int):
+    """(name, matrix) pairs at a size the scan splits into several blocks: a
+    seeded ultrametric with d(r, b) raised to 4 * max at the first row of the
+    second block, the last row of the first block and the last row overall,
+    one-sided (only row r can then start a violation) or mirrored from
+    r < b, and, where a block holds more than one row, two plants in one
+    block whose later row has the smaller j."""
+    rng = np.random.default_rng(seed)
+    d = np.array(random_ultrametric(n, int(rng.integers(2**32))).dist)
+    block = scan_block(n)
+    assert n > block  # more than one block
+    yield "none", d
+    for where, r in (("block_first", block), ("block_last", block - 1), ("last", n - 1)):
+        b = int(rng.integers(n - 1))
+        b += b >= r  # any point but r
+        planted = d.copy()
+        planted[r, b] = 4 * d.max()
+        yield f"{where}_one_sided", planted
+        if r < n - 1:  # mirrored from r < b: r is still the first index
+            b = int(rng.integers(r + 1, n))
+            planted = d.copy()
+            planted[r, b] = planted[b, r] = 4 * d.max()
+            yield f"{where}_mirrored", planted
+    if block > 1:
+        both = d.copy()
+        both[block, n - 1] = both[block + 1, 0] = 4 * d.max()
+        yield "two_in_one_block", both
+
+
+def unvalidated_block_matrices(n: int, seed: int):
+    """(name, matrix) pairs over several blocks that no validation would
+    pass: NaN entries, negative and large positive diagonals (violations
+    only on triples that repeat a point), each also with a real violation
+    planted one-sided in the last row."""
+    rng = np.random.default_rng(seed)
+    d = np.array(random_ultrametric(n, int(rng.integers(2**32))).dist)
+    nan = d.copy()
+    for i, j in rng.integers(n, size=(n, 2)):
+        nan[i, j] = np.nan
+    negative = d.copy()
+    np.fill_diagonal(negative, -1.0)
+    large = d.copy()
+    np.fill_diagonal(large, 8 * d.max())
+    mixed = d.copy()
+    np.fill_diagonal(mixed, np.where(np.arange(n) % 3, -1.0, 9 * d.max()))
+    for name, m in (("nan", nan), ("negative_diagonal", negative),
+                    ("large_diagonal", large), ("mixed_diagonal", mixed)):
+        yield name, m
+        planted = m.copy()
+        planted[n - 1, int(rng.integers(n - 1))] = 16 * d.max()
+        yield f"{name}_planted_last", planted
+
+
+def isometry_by_numpy_search(a, b):
+    """Oracle: the first bijection in lexicographic permutation order that
+    carries a.dist onto b.dist under np.array_equal, after the spectra (by
+    np.triu_indices) agree."""
+    n = len(a)
+    if n != len(b):
+        return False, None
+    iu = np.triu_indices(n, 1)
+    if tuple(np.unique(a.dist[iu]).tolist()) != tuple(np.unique(b.dist[iu]).tolist()):
+        return False, None
+    for perm in itertools.permutations(range(n)):
+        idx = list(perm)
+        if np.array_equal(a.dist, b.dist[np.ix_(idx, idx)]):
+            return True, {a.labels[i]: b.labels[perm[i]] for i in range(n)}
+    return False, None
+
+
+def isometry_pairs(count: int = 300, seed: int = 0):
+    """Seeded pairs of unvalidated spaces with at most 6 points: relabelled
+    copies of ultrametrics and of tied-level matrices, independent tied-level
+    matrices whose spectra often agree, and copies carrying -0.0 or NaN."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(1, 7))
+        if case % 2:
+            d = rng.integers(1, 3, size=(n, n)).astype(float)  # two tied levels
+            d = np.triu(d, 1) + np.triu(d, 1).T
+        else:
+            d = np.array(random_ultrametric(n, int(rng.integers(2**32))).dist)
+        kind = case % 5
+        if kind == 2:  # a vanished pair, and every zero signed on one side only
+            i, j = (int(x) for x in rng.integers(n, size=2))
+            d[i, j] = d[j, i] = 0.0
+        perm = rng.permutation(n)
+        labels = [f"p{i}" for i in rng.permutation(n)]
+        e = d[np.ix_(perm, perm)]
+        if kind == 1:  # independent tied levels: isometric or not
+            e = rng.integers(1, 3, size=(n, n)).astype(float)
+            e = np.triu(e, 1) + np.triu(e, 1).T
+        elif kind == 2:
+            e = np.where(e == 0.0, -0.0, e)
+        elif kind == 3:  # NaN on the diagonal, off it, or both sides
+            e, d = e.copy(), d.copy()
+            i, j = (int(x) for x in rng.integers(n, size=2))
+            e[i, j] = np.nan
+            if rng.random() < 0.5:
+                d[i, i] = np.nan
+        yield (FiniteSemimetricSpace([f"x{i}" for i in range(n)], d),
+               FiniteSemimetricSpace(labels, e))
 
 
 def prim_order(d):
@@ -357,6 +470,28 @@ class TestPredicates:
                 # a rejection names a violating triple, so the prescreen is exact
                 assert _equals_subdominant(d) is (want is None), name
 
+    @pytest.mark.parametrize("n", [45, 64, 100])
+    def test_block_scan_matches_the_triple_loop(self, n):
+        for name, d in block_plant_matrices(n, seed=n):
+            for combine, strong in ((np.maximum, True), (np.add, False)):
+                kind = "strong_triangle" if strong else "triangle"
+                want = first_violation_oracle(d, strong)
+                assert _first_violating_triple(d, combine, kind) == want, (name, kind)
+                if name != "none":
+                    assert want is not None, name
+
+    @pytest.mark.parametrize("n", [45, 64])
+    def test_block_scan_on_unvalidated_matrices(self, n):
+        for name, d in unvalidated_block_matrices(n, seed=n):
+            for combine, strong in ((np.maximum, True), (np.add, False)):
+                kind = "strong_triangle" if strong else "triangle"
+                want = first_violation_oracle(d, strong)
+                assert _first_violating_triple(d, combine, kind) == want, (name, kind)
+                if name.endswith("diagonal"):
+                    assert want is None, name  # only triples that repeat a point
+                if name.endswith("planted_last"):
+                    assert want.indices[0] == n - 1, name
+
     @pytest.mark.parametrize("predicate", [is_ultrametric, is_metric])
     def test_degenerate_triples_are_ignored(self, predicate):
         # d[0,0] = 1 > 0 only on triples that repeat a point
@@ -370,6 +505,11 @@ class TestPredicates:
 
 
 class TestSpectra:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64])
+    def test_upper_mask_reads_triu_indices_in_order(self, n):
+        d = np.random.default_rng(n).normal(size=(n, n))
+        assert np.array_equal(d[_upper(n)], d[np.triu_indices(n, 1)])
+
     def test_isosceles_spectrum(self):
         assert distance_spectrum(sides(1, 2, 2)) == (1.0, 2.0)
 
@@ -519,6 +659,16 @@ class TestCoveringNumbers:
             for eps in (0.5, 1.0, 2.0, 3.5):
                 assert minimum_covering_number(space, eps) == minimum_net_by_rows(space, eps)
 
+    def test_minimum_past_64_points(self):
+        # two clusters of 35 at distance 4, distance 1 inside: ball bits
+        # above 63 must stay exact for the two-ball net to cover
+        n = 70
+        d = np.where((np.arange(n)[:, None] < 35) == (np.arange(n) < 35), 1.0, 4.0)
+        np.fill_diagonal(d, 0.0)
+        space = validate_space(d)
+        assert minimum_covering_number(space, 1.0, max_points=n) == 2
+        assert minimum_covering_number(space, 4.0, max_points=n) == 1
+
     @given(ultrametric_spaces(min_points=2, max_points=7))
     def test_greedy_equals_minimum_and_components(self, space):
         spectrum = distance_spectrum(space)
@@ -564,6 +714,17 @@ class TestIsometry:
     def test_size_mismatch(self):
         ok, _ = are_isometric_small(sides(1, 2, 2), validate_space([[0, 1], [1, 0]]))
         assert not ok
+
+    def test_matches_the_numpy_search(self):
+        outcomes = set()
+        for a, b in isometry_pairs():
+            got = are_isometric_small(a, b)
+            want = isometry_by_numpy_search(a, b)
+            assert got == want, (a.dist.tolist(), b.dist.tolist())
+            if want[1] is not None:
+                assert list(got[1].items()) == list(want[1].items())
+            outcomes.add(want[0])
+        assert outcomes == {True, False}
 
     def test_bijection_transports_distances(self):
         a = sides(1, 2, 2)
