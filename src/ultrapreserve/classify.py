@@ -4,10 +4,9 @@ A transform preserves ultrametric structure iff it is increasing (weakly) and
 amenable; it additionally preserves the induced topology — equivalently
 compactness, total boundedness, compact-to-totally-bounded transport, and
 non-uniform-discreteness — iff it is also continuous at 0. Increasing plus
-subadditive certifies joint metric-and-ultrametric preservation. The two
-functional formulations (triangle-triplet transport and the min-max equation
-on triples whose two largest entries agree) are checked by seeded sampling
-with fixed degenerate probes always included.
+subadditive certifies joint metric-and-ultrametric preservation. Of the two
+functional formulations, triangle-triplet transport is sampled (seeded, with
+fixed degenerate probes); the min-max equation is rendered from monotonicity.
 """
 
 from __future__ import annotations
@@ -117,30 +116,22 @@ def check_minmax_equation(
     spec: FunctionSpec, samples: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0
 ) -> PropertyVerdict:
     """On triples whose two largest entries agree, the image triple must again
-    satisfy min-of-pairwise-maxes = max. For amenable f this equation holds on
-    all such triples iff f preserves ultrametrics."""
+    satisfy min-of-pairwise-maxes = max: a sampled test, independent of the
+    monotonicity verdict that `find_minmax_violation` renders."""
     rng = np.random.default_rng(seed)
     sampled = _sample_two_largest_equal(rng, samples)
     return _scan_probes(spec, MINMAX_EQUATION, sampled, seed)
 
 
-def find_minmax_violation(
-    spec: FunctionSpec, samples: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0
-) -> Optional[dict]:
-    """Sampled min-max check, escalated by the monotonicity probe.
-
-    When sampling misses, any decrease (t1 < t2 with f(t1) > f(t2)) yields
-    the violating triple (t1, t2, t2) directly.
-    """
-    verdict = check_minmax_equation(spec, samples, seed)
-    if verdict.fails:
-        return verdict.witness
-    increasing = check_increasing(spec)
-    if increasing.fails:
-        t1, t2 = increasing.witness["t1"], increasing.witness["t2"]
-        triple = np.array([[t1, t2, t2]])
-        return _first_violation(spec, MINMAX_EQUATION, triple)
-    return None
+def find_minmax_violation(spec: FunctionSpec, increasing: PropertyVerdict) -> Optional[dict]:
+    """The min-max witness rendered from the monotonicity verdict, or None.
+    A triple whose two largest entries agree is (a, b, b), a <= b, in some
+    order; its image (x, y, y) satisfies the equation iff y = max(x, y), that
+    is f(a) <= f(b). So an inversion t1 < t2 is the violating row (t1, t2, t2)."""
+    if increasing.holds:
+        return None
+    t1, t2 = increasing.witness["t1"], increasing.witness["t2"]
+    return _first_violation(spec, MINMAX_EQUATION, np.array([[t1, t2, t2]]))
 
 
 # Classes answered by the strongly-preserving verdict; the five membership
@@ -197,7 +188,7 @@ def classification_report(
 ) -> ClassificationReport:
     """Run every classifier with sub-seeds derived from one shared seed and
     enforce the cross-verdict consistency invariants. Each base property is
-    decided once and the class verdicts are combined from those results."""
+    decided once; the class and min-max verdicts are rendered from them."""
     increasing = check_increasing(spec)
     amenable = check_amenable(spec)
     continuous = check_continuous_at_zero(spec)
@@ -205,7 +196,8 @@ def classification_report(
     pt = combine_verdicts(increasing, amenable, continuous)
     pm = combine_verdicts(increasing, check_subadditive(spec, budget, derive_seed(seed, 0)))
     triplet = check_triplet_preservation(spec, budget, derive_seed(seed, 1))
-    minmax = check_minmax_equation(spec, budget, derive_seed(seed, 2))
+    minmax = PropertyVerdict(increasing.status, find_minmax_violation(spec, increasing),
+                             increasing.budget_used, increasing.exact)
     bound = inf_on_positive(spec)
     if pt.holds and not pu.holds:
         raise RuntimeError("inconsistent report: topology preserved without structure")

@@ -205,9 +205,13 @@ SUBADDITIVE = SampledCheck(
 def check_subadditive(
     spec: FunctionSpec, budget: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0
 ) -> PropertyVerdict:
-    """f(x+y) <= f(x) + f(y) on fixed probes plus seeded log-uniform pairs."""
+    """f(x+y) <= f(x) + f(y) on fixed probes, (b/2, b/2) at each piece
+    breakpoint b > 0 (a jump that log-uniform pairs rarely straddle) and
+    seeded log-uniform pairs."""
+    anchored = tuple((b / 2, b / 2) for b in breakpoints(spec.root) if b > 0)
     rng = np.random.default_rng(seed)
-    return _scan_probes(spec, SUBADDITIVE, log_uniform(rng, (budget, 2)), seed)
+    check = SUBADDITIVE._replace(fixed=SUBADDITIVE.fixed + anchored)
+    return _scan_probes(spec, check, log_uniform(rng, (budget, 2)), seed)
 
 
 def _continuity_break(spec: FunctionSpec, t: float) -> Optional[dict]:

@@ -1,12 +1,14 @@
 """Preservation-class verdicts and the aggregated report."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_expr import _trees
 from ultrapreserve import classify
 from ultrapreserve.classify import (
     _sample_triangle_triples,
@@ -21,8 +23,10 @@ from ultrapreserve.classify import (
     triangle_triplet_holds,
 )
 from ultrapreserve.cli import main
+from ultrapreserve.expr import FunctionSpec, FunctionSpecError
 from ultrapreserve.generators import random_ultrametric
 from ultrapreserve.parser import parse_function_spec
+from ultrapreserve.properties import check_increasing, verify_witness
 from ultrapreserve.spaces import apply_function, is_ultrametric
 from ultrapreserve.suite import inversion_family, preserving_pool
 
@@ -118,21 +122,68 @@ class TestMinmaxEquation:
         assert check_minmax_equation(spec("step_above(1)"), samples=2000, seed=3).holds
 
     def test_inversion_violates_on_directed_triple(self):
-        witness = find_minmax_violation(spec(INVERSION), samples=500, seed=3)
+        witness = find_minmax_violation(spec(INVERSION), check_increasing(spec(INVERSION)))
         assert witness is not None
         p, q, l = witness["p"], witness["q"], witness["l"]
         assert minmax_equation_holds(p, q, l)
         assert not minmax_equation_holds(witness["f_p"], witness["f_q"], witness["f_l"])
 
     def test_escalates_with_monotonicity_witness(self):
-        # no samples: the violation comes from the decrease t1 < t2
-        witness = find_minmax_violation(spec(INVERSION), samples=0)
+        # the violation is the decrease t1 < t2 of the monotonicity verdict
+        increasing = check_increasing(spec(INVERSION))
+        witness = find_minmax_violation(spec(INVERSION), increasing)
+        assert (witness["p"], witness["q"]) == (increasing.witness["t1"], increasing.witness["t2"])
         assert witness["p"] < witness["q"] == witness["l"]
         assert not minmax_equation_holds(witness["f_p"], witness["f_q"], witness["f_l"])
 
     def test_members_never_violate(self):
-        witness = find_minmax_violation(spec("pow(t, 3)"), samples=500, seed=3)
+        witness = find_minmax_violation(spec("pow(t, 3)"), check_increasing(spec("pow(t, 3)")))
         assert witness is None
+
+
+CASE_A = "t - (t - cantor_hat(t)) * (0.0 - t)"
+CASE_D = ("min(1e+308 - t, cantor_hat(t) - 1e+308)"
+          " - max(step_above(0.0), t) * (step_above(1e+308) + t)")
+
+
+class TestMinmaxIsMonotonicity:
+    """The report's min-max verdict is its monotonicity verdict, rendered: on
+    (a, b, b) with a <= b the image equation reads f(a) <= f(b)."""
+
+    @settings(max_examples=200)
+    @given(_trees)
+    def test_minmax_verdict_is_the_increasing_verdict(self, node):
+        try:
+            s = spec(FunctionSpec.from_node(node).source)
+            report = classification_report(s, seed=0, budget=256)
+        except FunctionSpecError:
+            return
+        minmax, increasing = report.minmax_equation, check_increasing(s)
+        assert (minmax.status, minmax.exact, minmax.budget_used) == (
+            increasing.status, increasing.exact, increasing.budget_used)
+        if minmax.fails:
+            w = minmax.witness
+            assert w["p"] < w["q"] == w["l"]
+            assert verify_witness(s, w, "minmax_equation")
+
+    def test_inversion_at_zero_renders_from_the_grid(self):
+        minmax = classification_report(spec("(t - 1) * step_above(1)"), seed=0).minmax_equation
+        assert minmax.fails and minmax.exact
+        w = minmax.witness
+        assert (w["p"], w["q"], w["l"]) == (0.0, 2.0**-60, 2.0**-60)
+
+    def test_case_a_holds_in_both_columns_within_budget(self):
+        report = classification_report(spec(CASE_A), seed=0)
+        for verdict in (report.ultrametric_preserving, report.minmax_equation):
+            assert verdict.holds and not verdict.exact
+
+    def test_case_d_witness_is_finite_and_the_infimum_is_not(self, capsys):
+        report = classification_report(spec(CASE_D), seed=0)
+        w = report.minmax_equation.witness
+        assert all(math.isfinite(v) for v in w.values())
+        assert report.inf_on_positive.estimate == -math.inf
+        assert main(["classify", CASE_D]) == 1  # strict JSON refuses the -inf
+        assert capsys.readouterr().out == ""
 
 
 class TestReport:
@@ -211,8 +262,8 @@ class TestConsistencyInvariants:
             assert check_minmax_equation(f, samples=500, seed=k).holds
 
     def test_non_members_found_by_directed_search(self):
-        for k, f in enumerate(inversion_family()):
-            assert find_minmax_violation(f, samples=200, seed=k) is not None
+        for f in inversion_family():
+            assert find_minmax_violation(f, check_increasing(f)) is not None
 
 
 class TestTriangleSampler:

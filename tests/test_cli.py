@@ -313,7 +313,7 @@ class TestBudget:
         verdicts = json.loads(out)["verdicts"]
         assert code == 0
         assert verdicts["triplet_preservation"]["budget_used"] == 3
-        assert verdicts["minmax_equation"]["budget_used"] == 2
+        assert verdicts["minmax_equation"]["budget_used"] == 0
 
     def test_suite_budget_zero_runs(self, capsys, tmp_path):
         code, out = run(capsys, "suite", "--trials", "4", "--budget", "0",

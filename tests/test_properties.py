@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from test_expr import _trees
-from ultrapreserve.classify import classification_report
+from ultrapreserve.classify import check_minmax_equation, classification_report, derive_seed
 from ultrapreserve.cli import main
 from ultrapreserve.expr import FunctionSpec, UndefinedValue, breakpoints
 from ultrapreserve.parser import parse_function_spec
@@ -150,6 +150,20 @@ class TestSubadditive:
     def test_sqrt_holds(self):
         assert check_subadditive(spec("pow(t, 0.5)"), budget=4096, seed=5).holds
 
+    def test_jumps_fail_at_every_seed(self):
+        """Misses per jump spec over 300 report seeds: independent log-uniform
+        pairs rarely sum to just past the jump, so the fixed probe (b/2, b/2)
+        at each breakpoint b decides."""
+        jumps = ["piecewise { [0,1): t; [1,inf): 4 }",
+                 "piecewise { [0,1000): t; [1000,inf): 4000 }",
+                 "piecewise { [0,0.001): t; [0.001,inf): 0.004 }"]
+        misses = {
+            text: sum(check_subadditive(spec(text), 4096, derive_seed(k, 0)).holds
+                      for k in range(300))
+            for text in jumps
+        }
+        assert misses == dict.fromkeys(jumps, 0)
+
 
 class TestContinuousAtZero:
     def test_identity_exact(self):
@@ -237,7 +251,7 @@ class TestVerifyTripleWitness:
             "min(1e+308 - t, cantor_hat(t) - 1e+308)"
             " - max(step_above(0.0), t) * (step_above(1e+308) + t)"
         )
-        w = classification_report(s, seed=0).minmax_equation.witness
+        w = check_minmax_equation(s, 4096, derive_seed(0, 2)).witness
         assert w["f_q"] == w["f_l"] == -math.inf
         assert verify_witness(s, w, "minmax_equation")
 

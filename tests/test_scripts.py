@@ -1,6 +1,7 @@
 """The example scripts run end to end and print what their tables claim."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -37,3 +38,30 @@ def test_suite_criteria_times_all_nine(monkeypatch, capsys):
     assert code == 0
     names = [line.split()[0] for line in out.splitlines()[3:]]  # below the header and rule
     assert names == [r.name for r in run_suite(SuiteConfig(trials=1)).results] + ["total"]
+
+
+def test_golden_diff_fails_only_on_unmasked_differences(monkeypatch, capsys, tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps([
+        {"function": "t", "report": {"verdicts": {"a": {"status": "holds", "seed": 1}}}},
+        {"function": "t * t", "report": {}},
+    ]))
+    new.write_text(json.dumps([
+        {"function": "t", "report": {"verdicts": {"a": {"status": "holds", "seed": None}}}},
+        {"function": "t * t", "report": {}},
+    ]))
+    code, out = _run_main("golden_diff", monkeypatch, capsys, str(old), str(new))
+    assert code == 1
+    assert out.split("\t") == ["DIFF", "t", "report.verdicts.a.seed", "1 -> null\n"]
+    code, out = _run_main("golden_diff", monkeypatch, capsys, str(old), str(new),
+                          "--mask", "report.verdicts.a")
+    assert code == 0 and out.startswith("masked\tt\treport.verdicts.a.seed\t")
+    code, out = _run_main("golden_diff", monkeypatch, capsys, str(old), str(old))
+    assert (code, out) == (0, "")
+    new.write_text(old.read_text().replace("t * t", "t + t"))  # renames an entry
+    code, out = _run_main("golden_diff", monkeypatch, capsys, str(old), str(new),
+                          "--mask", "report")
+    assert code == 1 and out.splitlines() == [
+        'DIFF\tt * t\t<entry>\t"present" -> "<absent>"',
+        'DIFF\tt + t\t<entry>\t"<absent>" -> "present"',
+    ]
